@@ -79,7 +79,17 @@ def _per_t_pairwise(measure, gallery):
     """
     import numpy as np
 
-    from repro.core.colocation import sparse_inner
+    def sparse_inner(a, b):
+        """The seed's scalar inner product of two sorted sparse distributions."""
+        (cells_a, probs_a), (cells_b, probs_b) = a, b
+        if cells_a.size == 0 or cells_b.size == 0:
+            return 0.0
+        if cells_b.size > cells_a.size:
+            cells_a, probs_a, cells_b, probs_b = cells_b, probs_b, cells_a, probs_a
+        pos = np.searchsorted(cells_a, cells_b)
+        pos[pos == cells_a.size] = 0  # out-of-range probes can never match
+        mask = cells_a[pos] == cells_b
+        return float(np.dot(probs_a[pos[mask]], probs_b[mask])) if mask.any() else 0.0
 
     n = len(gallery)
     out = np.zeros((n, n))

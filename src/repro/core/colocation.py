@@ -14,8 +14,10 @@ product", which is exactly what :class:`TrajectorySTP` already hands us.
 :func:`colocation_batch` is the vectorized entry point: it resolves both
 objects' distributions for *all* query times in one
 :meth:`~repro.core.stprob.TrajectorySTP.stp_batch` call each (amortizing
-per-segment kernel and FFT work) and then takes the sparse inner products
-with a sorted-merge — no per-time ``np.intersect1d`` sort.
+per-segment kernel and FFT work) and then takes every inner product in one
+sparse product through :func:`~repro.core.kernel.colocation_terms` — the
+code the Eq. 10 block kernel uses, so a term here is bitwise the term a
+similarity matrix adds.
 """
 
 from __future__ import annotations
@@ -24,37 +26,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .stprob import SparseDistribution, TrajectorySTP
+from .kernel import colocation_terms
+from .stprob import TrajectorySTP
 
-__all__ = [
-    "sparse_inner",
-    "colocation_probability",
-    "colocation_batch",
-    "colocation_series",
-]
-
-
-def sparse_inner(a: SparseDistribution, b: SparseDistribution) -> float:
-    """Inner product of two sparse cell distributions.
-
-    Both inputs are ``(cells, probs)`` pairs with sorted cell indices; the
-    product is summed over the intersection of the supports, found by
-    binary-searching the smaller support into the larger one (cheaper than
-    ``np.intersect1d``, which re-sorts the concatenation).  An empty
-    distribution (object outside its observed time span) yields 0.
-    """
-    cells_a, probs_a = a
-    cells_b, probs_b = b
-    if cells_a.size == 0 or cells_b.size == 0:
-        return 0.0
-    if cells_b.size > cells_a.size:
-        cells_a, probs_a, cells_b, probs_b = cells_b, probs_b, cells_a, probs_a
-    pos = np.searchsorted(cells_a, cells_b)
-    pos[pos == cells_a.size] = 0  # out-of-range probes can never match
-    mask = cells_a[pos] == cells_b
-    if not mask.any():
-        return 0.0
-    return float(np.dot(probs_a[pos[mask]], probs_b[mask]))
+__all__ = ["colocation_probability", "colocation_batch"]
 
 
 def colocation_probability(stp_a: TrajectorySTP, stp_b: TrajectorySTP, t: float) -> float:
@@ -64,7 +39,7 @@ def colocation_probability(stp_a: TrajectorySTP, stp_b: TrajectorySTP, t: float)
     distributions over the same grid, so their inner product is at most 1
     (reached only when both are the same point mass).
     """
-    return sparse_inner(stp_a.stp(t), stp_b.stp(t))
+    return float(colocation_batch(stp_a, stp_b, [t])[0])
 
 
 def colocation_batch(
@@ -72,10 +47,10 @@ def colocation_batch(
 ) -> np.ndarray:
     """Eq. 9 at each of ``times``, resolved through the batched STP path.
 
-    Equivalent to ``[colocation_probability(stp_a, stp_b, t) for t in
-    times]`` but each object's distributions are computed with one
+    Each object's distributions are computed with one
     :meth:`~repro.core.stprob.TrajectorySTP.stp_batch` call, grouping query
-    times by bracketing segment.
+    times by bracketing segment; term ``k`` is the ascending-cell sum of
+    the products of the two distributions at ``times[k]``.
     """
     times_arr = np.asarray(times, dtype=float).ravel()
     if times_arr.size == 0:
@@ -84,15 +59,9 @@ def colocation_batch(
     dists_a = stp_a.stp_batch(times_arr)
     dists_b = stp_b.stp_batch(times_arr)
     t1 = perf_counter()
-    result = np.array([sparse_inner(a, b) for a, b in zip(dists_a, dists_b)])
+    slots = np.arange(times_arr.size)
+    result = colocation_terms(dists_a, slots, [(slots, dists_b)], stp_a.grid.n_cells)[:, 0]
     # Stage handles are prebound on the estimator (see TrajectorySTP._init_obs).
     stp_a._t_coloc_resolve.inc(t1 - t0)
     stp_a._t_coloc_inner.inc(perf_counter() - t1)
     return result
-
-
-def colocation_series(
-    stp_a: TrajectorySTP, stp_b: TrajectorySTP, times: np.ndarray
-) -> np.ndarray:
-    """Co-location probabilities at each of ``times``."""
-    return colocation_batch(stp_a, stp_b, np.asarray(times))

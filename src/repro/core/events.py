@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colocation import colocation_probability
+from .colocation import colocation_batch
 from .sts import STS
 from .trajectory import Trajectory
 
@@ -80,9 +80,8 @@ def colocation_timeline(
         return np.empty(0), np.empty(0)
     if hi == lo:
         # the spans touch at a single instant — evaluate just that instant
-        t = float(lo)
-        cp = colocation_probability(measure.stp_for(a), measure.stp_for(b), t)
-        return np.array([t]), np.array([cp])
+        times = np.array([float(lo)])
+        return times, colocation_batch(measure.stp_for(a), measure.stp_for(b), times)
     if time_step is None:
         gaps = np.concatenate([np.diff(a.timestamps), np.diff(b.timestamps)])
         gaps = gaps[gaps > 0]
@@ -93,10 +92,7 @@ def colocation_timeline(
     observed = np.concatenate([a.timestamps, b.timestamps])
     observed = observed[(observed >= lo) & (observed <= hi)]
     times = np.union1d(lattice, observed)
-    stp_a = measure.stp_for(a)
-    stp_b = measure.stp_for(b)
-    cps = np.array([colocation_probability(stp_a, stp_b, float(t)) for t in times])
-    return times, cps
+    return times, colocation_batch(measure.stp_for(a), measure.stp_for(b), times)
 
 
 def detect_colocation_events(

@@ -25,11 +25,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import DegenerateTrajectoryError
 from ..obs import get_registry, trace_span
 from .cache import LRUCache
 from .colocation import colocation_batch
 from .grid import Grid
+from .kernel import resolve_block, score_sides
 from .noise import DeterministicNoiseModel, GaussianNoiseModel, NoiseModel
 from .speed import GaussianSpeedModel, KDESpeedModel
 from .stprob import TrajectorySTP
@@ -249,7 +249,9 @@ class STS:
 
         Timestamps at which one trajectory is outside its observed span
         contribute 0 (Eq. 5 case 3) but still count in the denominator,
-        exactly as the paper defines the average.
+        exactly as the paper defines the average.  The score is a 1×1
+        :meth:`similarity_block`, so it is bitwise the entry any larger
+        block (or :meth:`pairwise`) gives the same pair.
 
         ``budget`` (a :class:`repro.serving.Budget`) routes the call
         through the anytime evaluator: if the budget expires mid-pair the
@@ -264,18 +266,41 @@ class STS:
             if budget is not None and budget.bounded:
                 from ..serving.anytime import anytime_similarity
 
+                self._m_calls.inc()
                 return anytime_similarity(self, tra1, tra2, budget=budget).value
-            if len(tra1) == 0 or len(tra2) == 0:
-                raise DegenerateTrajectoryError("STS is undefined for empty trajectories")
             with trace_span("sts.similarity"):
-                stp1 = self.stp_for(tra1)
-                stp2 = self.stp_for(tra2)
-                times = np.concatenate([tra1.timestamps, tra2.timestamps])
-                cps = colocation_batch(stp1, stp2, times)
-                return float(cps.sum()) / (len(tra1) + len(tra2))
+                return float(self.similarity_block([tra1], [tra2])[0, 0])
         finally:
-            self._m_calls.inc()
             self._h_similarity.observe(perf_counter() - t0)
+
+    def similarity_block(
+        self,
+        rows: Sequence[Trajectory],
+        cols: Sequence[Trajectory] | None = None,
+    ) -> np.ndarray:
+        """Eq. 10 for every pair of a ``rows × cols`` block, in one kernel call.
+
+        ``S[i, j] = STS(rows[i], cols[j])``; ``cols=None`` scores ``rows``
+        against themselves (a bitwise-symmetric matrix).  Resolution, the
+        two sparse products and the reduction are those of
+        :mod:`repro.core.kernel`; every entry equals the 1×1 call on its
+        pair bitwise.  The similarity-call counter grows by the number of
+        distinct pairs scored.
+        """
+        rows = list(rows)
+        cols = None if cols is None else list(cols)
+        with trace_span("sts.block", rows=len(rows), cols=len(rows if cols is None else cols)):
+            t0 = perf_counter()
+            with trace_span("sts.resolve"):
+                row_side, col_side = resolve_block(self.stp_for, rows, cols)
+            t1 = perf_counter()
+            with trace_span("sts.multiply"):
+                out = score_sides(row_side, col_side, self.grid.n_cells)
+            self._t_prewarm.inc(t1 - t0)
+            self._t_pairloop.inc(perf_counter() - t1)
+        n = len(rows)
+        self._m_calls.inc(n * (n + 1) // 2 if cols is None else out.size)
+        return out
 
     def __call__(self, tra1: Trajectory, tra2: Trajectory) -> float:
         return self.similarity(tra1, tra2)
@@ -323,20 +348,21 @@ class STS:
 
         Returns ``S[i, j] = STS(queries[i], gallery[j])``.  With
         ``queries=None`` the matrix is ``gallery`` against itself, computed
-        symmetrically (each unordered pair once).
+        symmetrically (each unordered pair once).  In-process, the whole
+        matrix is one :meth:`similarity_block`.
 
-        ``n_jobs`` > 1 shards the pair list across worker processes (or
-        threads — see :class:`repro.parallel.ParallelSTS` and ``backend``);
-        ``-1`` uses every available core.  The parallel matrix matches the
-        serial one to float round-off regardless of worker count, and the
-        pool is supervised: dead/hung workers are retried and the backend
-        degrades rather than failing the run.
+        ``n_jobs`` > 1 cuts the matrix into blocks scored by worker
+        processes (or threads — see :class:`repro.parallel.ParallelSTS` and
+        ``backend``); ``-1`` uses every available core.  The parallel
+        matrix matches the serial one bitwise regardless of worker count,
+        and the pool is supervised: dead/hung workers are retried and the
+        backend degrades rather than failing the run.
 
         ``shm`` controls the corpus transport for the process backend:
         ``"auto"`` (default) broadcasts the trajectories once through a
         shared-memory arena instead of pickling them per worker;
         ``False`` forces the pickling path.  ``chunking="cost"`` balances
-        chunks by estimated per-pair work instead of pair count.
+        blocks by total trajectory length instead of index count.
 
         ``checkpoint`` names a chunk journal file (atomic write-rename);
         an interrupted run pointed at the same file resumes from the last
@@ -384,51 +410,12 @@ class STS:
             gallery=len(gallery),
             queries=len(queries) if queries is not None else len(gallery),
         ):
-            everything = list(gallery) if queries is None else list(gallery) + list(queries)
-            with trace_span("sts.prewarm"):
-                t0 = perf_counter()
-                self._prewarm(everything)
-                self._t_prewarm.inc(perf_counter() - t0)
-            t0 = perf_counter()
-            with trace_span("sts.pair-loop"):
-                if queries is None:
-                    n = len(gallery)
-                    out = np.zeros((n, n))
-                    for i in range(n):
-                        for j in range(i, n):
-                            out[i, j] = out[j, i] = self.similarity(gallery[i], gallery[j])
-                else:
-                    out = np.zeros((len(queries), len(gallery)))
-                    for i, q in enumerate(queries):
-                        for j, g in enumerate(gallery):
-                            out[i, j] = self.similarity(q, g)
-            self._t_pairloop.inc(perf_counter() - t0)
+            if queries is None:
+                out = self.similarity_block(gallery)
+            else:
+                out = self.similarity_block(queries, gallery)
         self._h_pairwise.observe(perf_counter() - t_start)
         return out
-
-    def _prewarm(self, trajectories: Sequence[Trajectory]) -> None:
-        """Resolve every STP query the pairwise loop will make, batched.
-
-        Per-pair evaluation presents each estimator with the partner's
-        timestamps a handful at a time — too few per bracketing segment to
-        amortize the vectorized segment pass.  One ``stp_batch`` per
-        trajectory over the *union* of all timestamps in play turns that
-        into one pass with every query of the whole matrix, and the pair
-        loop then runs entirely off the per-query cache.  With caches
-        disabled (or too small to hold the working set) this is skipped /
-        degrades to the plain per-pair path — results are identical either
-        way, because ``stp_batch`` and ``stp`` share one evaluation core.
-        """
-        if not trajectories or self.stp_cache_size == 0:
-            return
-        all_times = np.unique(np.concatenate([t.timestamps for t in trajectories]))
-        for trajectory in trajectories:
-            stp = self.stp_for(trajectory)
-            inside = all_times[
-                (all_times >= trajectory.start_time) & (all_times <= trajectory.end_time)
-            ]
-            if inside.size:
-                stp.stp_batch(inside)
 
     # Metric handles hold locks, which do not pickle; a measure shipped to
     # a process worker rebinds to that worker's own registry on arrival.

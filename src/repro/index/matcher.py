@@ -315,9 +315,9 @@ class FilteredMatcher:
         measure offers the STS-style parallel entry point and parallel
         scoring was requested: the *full gallery* rides the shared-memory
         arena (reused across calls under ``persistent_pool``) and only
-        the surviving indices are dispatched.  Otherwise falls back to
-        the ``score`` loop (which, for STS, already uses the batched
-        co-location path per pair).
+        the surviving indices are dispatched.  In-process, a measure with
+        a block kernel (STS) scores every survivor as one ``1 × k``
+        block; any other measure falls back to the ``score`` loop.
         """
         if not subset:
             return []
@@ -336,6 +336,9 @@ class FilteredMatcher:
                     if not self.persistent_pool:
                         engine.close()
                 return [float(s) for s in np.asarray(row)]
+        kernel = getattr(self.measure, "similarity_block", None)
+        if kernel is not None:
+            return [float(s) for s in kernel([query], subset)[0]]
         return [float(self.measure.score(query, candidate)) for candidate in subset]
 
     def _score_survivors_cluster(

@@ -472,7 +472,16 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._collectors: list = []
+        # key -> zero-arg callable returning the collector (None once its
+        # owner died).  A bound method is keyed by (owner id, function):
+        # ids are unique among live objects, so a live entry under the
+        # same key is the same collector.
+        self._collectors: dict = {}
+        # (key, ref) of weak collectors whose owner died, appended by the
+        # weakref callback (without the lock: the collector may die in a
+        # garbage collection run while the lock is held) and dropped on
+        # the next register or snapshot.
+        self._dead: list = []
 
     # ------------------------------------------------------------------
     def _instrument(self, cls, name: str, help: str, **kwargs):
@@ -508,37 +517,47 @@ class MetricsRegistry:
 
         Idempotent for bound methods: re-registering the same method (an
         object re-binding its instruments after a registry swap) does not
-        duplicate its samples — collector samples are *summed*.
+        duplicate its samples — collector samples are *summed*.  A weak
+        collector whose owner dies is dropped in O(1), so registering and
+        snapshotting stay linear in the number of *live* collectors.
         """
         if hasattr(fn, "__self__"):
-            ref = weakref.WeakMethod(fn)
+            key = (id(fn.__self__), fn.__func__)
+            dead = self._dead
+            ref = weakref.WeakMethod(fn, lambda r, key=key: dead.append((key, r)))
             with self._lock:
-                if ref in self._collectors:
+                self._drop_dead()
+                held = self._collectors.get(key)
+                if held is not None and held() is not None:
                     return
-                self._collectors.append(ref)
+                self._collectors[key] = ref
         else:
             with self._lock:
-                self._collectors.append(lambda: fn)
+                self._drop_dead()
+                self._collectors[object()] = lambda: fn
+
+    def _drop_dead(self) -> None:
+        """Forget collectors whose owner died (caller holds the lock)."""
+        while self._dead:
+            key, ref = self._dead.pop()
+            if self._collectors.get(key) is ref:
+                del self._collectors[key]
 
     def _collected(self) -> dict[str, dict]:
         """Samples from live collectors, summed by (kind, name, labels)."""
         with self._lock:
-            refs = list(self._collectors)
+            self._drop_dead()
+            refs = list(self._collectors.values())
         merged: dict[str, dict] = {"counter": {}, "gauge": {}}
-        dead = []
         for ref in refs:
             fn = ref()
             if fn is None:
-                dead.append(ref)
                 continue
             for kind, name, labels, value in fn() or ():
                 bucket = merged.setdefault(kind, {})
                 series = bucket.setdefault(name, {})
                 key = _sample_label_str(labels)
                 series[key] = series.get(key, 0.0) + float(value)
-        if dead:
-            with self._lock:
-                self._collectors = [r for r in self._collectors if r not in dead]
         return merged
 
     # ------------------------------------------------------------------
@@ -613,6 +632,7 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self._collectors.clear()
+            self._dead.clear()
 
     # A registry crossing a process boundary restarts empty: locks do not
     # pickle, and worker-side metrics flow back explicitly as delta

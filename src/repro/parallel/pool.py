@@ -6,8 +6,10 @@ trajectory collections travel either the same way (pickled initargs, the
 historical path) or — preferably — as a :class:`~repro.parallel.shm.
 SharedTrajectoryArena` handle: the corpus lives in one shared-memory
 block the parent packed, workers attach at initializer time, and the
-only per-call payload is ``(row, col)`` index chunks.  Results come back
-as ``(row, col, score)`` triples — cheap to serialize and
+only per-call payload is a :class:`Block` of row and column indices.  A
+worker scores its block in one call to the measure's Eq. 10 kernel
+(:meth:`repro.core.STS.similarity_block`), and results come back as
+``(row, col, score)`` triples — cheap to serialize and
 order-independent to assemble.
 
 Workers rebuild their own estimator caches (the measure's LRU caches
@@ -27,9 +29,11 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 __all__ = [
+    "Block",
     "resolve_n_jobs",
     "chunk_pairs",
     "chunk_pairs_by_cost",
@@ -125,34 +129,70 @@ def _init_worker_shm(measure, handle) -> None:
     _WORKER_STATE["arena_view"] = view
 
 
-def _score_chunk(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    """Score one chunk of index pairs against the worker's state."""
-    from ..obs import trace_span
+@dataclass(frozen=True)
+class Block:
+    """One chunk of a score matrix: every pair of ``rows × cols``.
 
-    measure = _WORKER_STATE["measure"]
+    ``rows`` index the run's row trajectories (the queries, or the
+    gallery for a self-matrix) and ``cols`` the gallery.  ``cols=None``
+    is the self block of ``rows`` (ascending) in a self-matrix run: it
+    owns each unordered pair once, as ``i <= j``.  Iterating yields the
+    owned pairs, and ``len`` counts them.
+    """
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...] | None = None
+
+    def _cells(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(a, b, i, j)``: position in the block and owned pair."""
+        cols = self.rows if self.cols is None else self.cols
+        for a, i in enumerate(self.rows):
+            for b in range(a if self.cols is None else 0, len(cols)):
+                yield a, b, i, cols[b]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((i, j) for _a, _b, i, j in self._cells())
+
+    def __len__(self) -> int:
+        n = len(self.rows)
+        return n * (n + 1) // 2 if self.cols is None else n * len(self.cols)
+
+    def triples(self, scores) -> list[tuple[int, int, float]]:
+        """``(row, col, score)`` of every owned pair, from the block's matrix."""
+        return [(i, j, float(scores[a, b])) for a, b, i, j in self._cells()]
+
+
+def _score_block(measure, block: Block, rows, gallery) -> list[tuple[int, int, float]]:
+    """Score ``block`` in one kernel call and return its triples."""
+    from ..obs import trace_span
+    from ..similarity.base import similarity_block
+
+    with trace_span("parallel.chunk", pairs=len(block)):
+        scores = similarity_block(
+            measure,
+            [rows[i] for i in block.rows],
+            None if block.cols is None else [gallery[j] for j in block.cols],
+        )
+    return block.triples(scores)
+
+
+def _score_chunk(block: Block) -> list[tuple[int, int, float]]:
+    """Score one block against the worker's state."""
     gallery = _WORKER_STATE["gallery"]
     queries = _WORKER_STATE["queries"]
     rows = gallery if queries is None else queries
-    with trace_span("parallel.chunk", pairs=len(pairs)):
-        return [(i, j, measure.similarity(rows[i], gallery[j])) for i, j in pairs]
+    return _score_block(_WORKER_STATE["measure"], block, rows, gallery)
 
 
-def _score_chunk_vs_queries(
-    queries, pairs: Sequence[tuple[int, int]]
-) -> list[tuple[int, int, float]]:
-    """Score a chunk whose *rows* are call-supplied query trajectories.
+def _score_chunk_vs_queries(queries, block: Block) -> list[tuple[int, int, float]]:
+    """Score a block whose *rows* are call-supplied query trajectories.
 
     Used by the persistent-pool query path: the gallery is the arena the
     worker attached at initializer time, while the (small) query list
     rides along with the task.  ``functools.partial`` binds ``queries``
     so the submitted callable stays a picklable top-level function.
     """
-    from ..obs import trace_span
-
-    measure = _WORKER_STATE["measure"]
-    gallery = _WORKER_STATE["gallery"]
-    with trace_span("parallel.chunk", pairs=len(pairs)):
-        return [(i, j, measure.similarity(queries[i], gallery[j])) for i, j in pairs]
+    return _score_block(_WORKER_STATE["measure"], block, queries, _WORKER_STATE["gallery"])
 
 
 #: Sentinel key marking a process-worker result that carries telemetry
@@ -213,7 +253,7 @@ def _worker_delta():
     return merged
 
 
-def _task_with_telemetry(task, pairs):
+def _task_with_telemetry(task, block):
     """Run ``task`` in a process worker, piggybacking telemetry home.
 
     Wraps the chunk in a span and returns ``{TELEMETRY_KEY: True,
@@ -227,14 +267,14 @@ def _task_with_telemetry(task, pairs):
 
     result = {TELEMETRY_KEY: True}
     if not obs_enabled():
-        result["triples"] = task(pairs)
+        result["triples"] = task(block)
         return result
     from ..obs import get_tracer, span_payload
 
     with get_tracer().span(
-        "parallel.worker-chunk", pairs=len(pairs), worker_pid=os.getpid()
+        "parallel.worker-chunk", pairs=len(block), worker_pid=os.getpid()
     ) as span:
-        result["triples"] = task(pairs)
+        result["triples"] = task(block)
     result["delta"] = _worker_delta()
     result["trace"] = span_payload(span)
     return result

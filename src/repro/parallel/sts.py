@@ -1,15 +1,17 @@
-"""Parallel pairwise similarity: shard the pair list across workers.
+"""Parallel pairwise similarity: cut the matrix into blocks across workers.
 
 A similarity matrix is embarrassingly parallel — every entry is an
-independent ``measure.similarity(a, b)`` — but a naive fan-out re-pickles
-the measure per pair and loses the symmetric structure.
-:class:`ParallelSTS` dispatches *chunks of index pairs* to a pool whose
-workers each hold one private copy of the measure (built once per worker
-by the pool initializer), then assembles the matrix deterministically
-from ``(row, col, score)`` triples.  Because every entry is produced by
-the exact same scoring code as the serial path, the parallel matrix
-matches ``STS.pairwise`` to the last bit regardless of worker count,
-chunk schedule, chunking policy, or transport.
+independent Eq. 10 score — but a naive fan-out re-pickles the measure per
+pair and loses the symmetric structure.  :class:`ParallelSTS` cuts the
+matrix into rectangular :class:`~repro.parallel.pool.Block` chunks and
+dispatches them to a pool whose workers each hold one private copy of
+the measure (built once per worker by the pool initializer); a worker
+scores its block in one call to the measure's block kernel
+(:meth:`repro.core.STS.similarity_block`), and the parent assembles the
+matrix deterministically from ``(row, col, score)`` triples.  The
+kernel's entries do not depend on the block they are computed in, so the
+parallel matrix matches ``STS.pairwise`` to the last bit regardless of
+worker count, block plan, chunking policy, or transport.
 
 Transport: by default (``shm="auto"``) the process backend broadcasts
 the trajectory corpus through a :class:`~repro.parallel.shm.
@@ -21,11 +23,14 @@ need no arena.  ``persistent=True`` additionally keeps the worker pool
 and the gallery arena warm across ``pairwise``/``query`` calls, so a
 serving loop pays pool startup and the gallery broadcast once.
 
-Chunking: ``chunking="count"`` (default) splits the pair list into
-equally sized interleaved chunks; ``chunking="cost"`` packs chunks to
-near-equal *estimated cost* (Eq. 10 work scales with ``|T1|·|T2|``),
-which tightens the straggler tail when trajectory lengths vary widely.
-Either way every pair is scored exactly once, so results are identical.
+Chunking: the rows and columns are each split into index groups, and
+every (row group, column group) is a block — for a self-matrix, every
+group pair on or above the diagonal.  ``chunking="count"`` (default)
+deals indices round-robin into groups of equal size;
+``chunking="cost"`` packs groups to near-equal total trajectory length
+(Eq. 10 work scales with ``|T1|·|T2|``), which tightens the straggler
+tail when lengths vary widely.  Either way every pair is scored exactly
+once, so results are identical.
 
 Execution is *supervised* by default (see
 :mod:`repro.parallel.supervisor`): dead workers are detected and their
@@ -41,6 +46,7 @@ resumes from the last good state — see :mod:`repro.checkpoint`.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from time import perf_counter
 from typing import Sequence
@@ -50,14 +56,15 @@ import numpy as np
 from ..checkpoint import PairwiseCheckpoint
 from ..core.trajectory import Trajectory
 from ..obs import get_registry, trace_span
+from ..similarity.base import similarity_block
 from .pool import (
+    Block,
     _init_worker,
     _score_chunk_vs_queries,
     chunk_pairs,
     chunk_pairs_by_cost,
     get_parallel_defaults,
     make_executor,
-    pair_costs,
     resolve_n_jobs,
 )
 from .supervisor import RunHealth, SupervisedExecutor
@@ -66,6 +73,16 @@ __all__ = ["ParallelSTS"]
 
 #: Ratio buckets for the chunk-imbalance histogram (chunk cost / mean).
 _IMBALANCE_BUCKETS = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
+
+
+def _assemble(out: np.ndarray, results, symmetric: bool) -> np.ndarray:
+    """Write every chunk's ``(row, col, score)`` triples into ``out``."""
+    for triples in results:
+        for i, j, score in triples:
+            out[i, j] = score
+            if symmetric:
+                out[j, i] = score
+    return out
 
 
 def _same_collections(a, b) -> bool:
@@ -87,9 +104,11 @@ class ParallelSTS:
     Parameters
     ----------
     measure:
-        Any object with a ``similarity(tra1, tra2) -> float`` method
-        (typically :class:`repro.core.STS`).  For the process backend it
-        must be picklable; STS and its ablation variants are.
+        Typically :class:`repro.core.STS`, whose blocks are scored by its
+        Eq. 10 kernel; any other object with a ``similarity(tra1, tra2)
+        -> float`` method is scored entry by entry (see
+        :func:`repro.similarity.base.similarity_block`).  For the process
+        backend it must be picklable; STS and its ablation variants are.
     n_jobs:
         Worker count; ``-1`` means one per available CPU (``None``/``1``
         run serially in-process).
@@ -98,12 +117,12 @@ class ParallelSTS:
         (shared measure, lock-protected caches), or ``"auto"`` (processes
         when the measure pickles, threads otherwise).
     chunks_per_worker:
-        Dispatch granularity: the pair list is split into roughly
-        ``n_jobs * chunks_per_worker`` chunks, trading scheduling slack
-        against per-chunk overhead.
+        Dispatch granularity: the matrix is cut into at least
+        ``n_jobs * chunks_per_worker`` blocks where it has that many
+        pairs, trading scheduling slack against per-block overhead.
     chunking:
-        ``"count"`` — equal pair counts, interleaved; ``"cost"`` —
-        near-equal estimated cost from trajectory lengths (see
+        ``"count"`` — index groups of equal size, interleaved; ``"cost"``
+        — index groups of near-equal total trajectory length (see
         :func:`~repro.parallel.pool.chunk_pairs_by_cost`).  ``None``
         (default) resolves against the process-wide default
         (:func:`~repro.parallel.pool.set_parallel_defaults`, initially
@@ -221,36 +240,65 @@ class ParallelSTS:
         }
 
     # ------------------------------------------------------------------
-    # Chunk planning
+    # Block planning
     # ------------------------------------------------------------------
-    def _plan_chunks(
-        self,
-        pairs: list[tuple[int, int]],
-        gallery: Sequence[Trajectory],
-        queries: Sequence[Trajectory] | None,
-    ) -> list[list[tuple[int, int]]]:
-        """Partition the pair list per the configured chunking policy."""
+    def _groups(self, indices: list[int], lengths: Sequence[int], n_groups: int) -> list[tuple]:
+        """Split ``indices`` into ``n_groups`` ascending index groups."""
         if self.chunking == "cost":
-            rows = gallery if queries is None else queries
-            row_lengths = [len(t) for t in rows]
-            col_lengths = (
-                row_lengths if queries is None else [len(t) for t in gallery]
+            groups = chunk_pairs_by_cost(
+                indices, [max(1, lengths[i]) for i in indices], n_groups, 1
             )
-            costs = pair_costs(pairs, row_lengths, col_lengths)
-            chunks = chunk_pairs_by_cost(
-                pairs, costs, self.n_jobs, self.chunks_per_worker
-            )
-            cost_of = dict(zip(pairs, costs))
-            totals = [sum(cost_of[p] for p in chunk) for chunk in chunks]
         else:
-            chunks = chunk_pairs(pairs, self.n_jobs, self.chunks_per_worker)
-            totals = [len(chunk) for chunk in chunks]
-        if totals:
-            mean = sum(totals) / len(totals)
-            if mean > 0:
-                for total in totals:
-                    self._h_imbalance.observe(total / mean)
-        return chunks
+            groups = chunk_pairs(indices, n_groups, 1)
+        return [tuple(g) for g in groups]
+
+    def _plan_blocks(
+        self,
+        rows: list[int],
+        cols: list[int],
+        row_lengths: Sequence[int],
+        col_lengths: Sequence[int],
+        symmetric: bool,
+    ) -> list[Block]:
+        """Cut ``rows × cols`` into blocks per the configured chunking policy.
+
+        A self-matrix (``symmetric``) splits its indices into ``g`` groups
+        and takes the ``g(g+1)/2`` group pairs on or above the diagonal;
+        a rectangular matrix takes every (row group, column group), with
+        group counts chosen so the blocks come out near-square.
+        """
+        target = max(1, self.n_jobs * self.chunks_per_worker)
+        if symmetric:
+            n_groups = 1
+            while n_groups < len(rows) and n_groups * (n_groups + 1) // 2 < target:
+                n_groups += 1
+            groups = self._groups(rows, row_lengths, n_groups)
+            blocks = [
+                Block(groups[a], None if b == a else groups[b])
+                for a in range(len(groups))
+                for b in range(a, len(groups))
+            ]
+        else:
+            n_row_groups = min(
+                len(rows), max(1, round(math.sqrt(target * len(rows) / len(cols))))
+            )
+            n_col_groups = min(len(cols), max(1, -(-target // n_row_groups)))
+            blocks = [
+                Block(row_group, col_group)
+                for row_group in self._groups(rows, row_lengths, n_row_groups)
+                for col_group in self._groups(cols, col_lengths, n_col_groups)
+            ]
+        if self.chunking == "cost":
+            totals = [
+                sum(row_lengths[i] * col_lengths[j] for i, j in block) for block in blocks
+            ]
+        else:
+            totals = [len(block) for block in blocks]
+        mean = sum(totals) / len(totals)
+        if mean > 0:
+            for total in totals:
+                self._h_imbalance.observe(total / mean)
+        return blocks
 
     # ------------------------------------------------------------------
     # Arena + warm-pool lifecycle
@@ -411,23 +459,30 @@ class ParallelSTS:
         journaled, so an unbounded rerun on the same checkpoint
         recomputes exactly the missing entries.
         """
-        if queries is None:
-            n = len(gallery)
-            out = np.zeros((n, n))
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        else:
-            out = np.zeros((len(queries), len(gallery)))
-            pairs = [(i, j) for i in range(len(queries)) for j in range(len(gallery))]
-        if not pairs:
+        symmetric = queries is None
+        rows = gallery if symmetric else queries
+        out = np.zeros((len(rows), len(gallery)))
+        n_pairs = len(rows) * (len(rows) + 1) // 2 if symmetric else out.size
+        if not n_pairs:
             return out
         if self.n_jobs == 1 and checkpoint is None and deadline is None:
             # Serial, unjournaled and undeadlined (supervised or not): the
-            # measure's own batched pairwise (prewarmed) is both faster
-            # and identical, and there is nothing to supervise in-process.
+            # whole matrix is one kernel block, and there is nothing to
+            # supervise in-process.
             self.last_health = None
-            return self._serial_fast_path(out, pairs, gallery, queries)
+            t0 = perf_counter()
+            out = similarity_block(self.measure, rows, None if symmetric else gallery)
+            self._h_pairwise.observe(perf_counter() - t0)
+            return out
 
-        chunks = self._plan_chunks(pairs, gallery, queries)
+        row_lengths = [len(t) for t in rows]
+        chunks = self._plan_blocks(
+            list(range(len(rows))),
+            list(range(len(gallery))),
+            row_lengths,
+            row_lengths if symmetric else [len(t) for t in gallery],
+            symmetric,
+        )
         arena = self._ensure_arena(gallery, queries) if self._shm_wanted() else None
         try:
             if not self.supervised and checkpoint is None and deadline is None:
@@ -438,8 +493,7 @@ class ParallelSTS:
                 ckpt = PairwiseCheckpoint(
                     checkpoint,
                     self._fingerprint(
-                        out.shape[0], out.shape[1], len(pairs), len(chunks),
-                        queries is None,
+                        out.shape[0], out.shape[1], n_pairs, len(chunks), symmetric
                     ),
                 )
                 done = ckpt.completed
@@ -487,13 +541,7 @@ class ParallelSTS:
                 supervisor.health.metrics = self._registry.snapshot()
             if ckpt is not None:
                 ckpt.flush()
-            for k in range(len(chunks)):
-                for i, j, score in results[k]:
-                    out[i, j] = score
-            if queries is None:
-                upper = np.triu(out)
-                out = upper + np.triu(upper, 1).T
-            return out
+            return _assemble(out, results.values(), symmetric)
         finally:
             if not self.persistent:
                 self._drop_arena()
@@ -514,9 +562,9 @@ class ParallelSTS:
         the per-call index chunks plus one small pickled query — the
         query itself never enters the arena.
 
-        Scores are produced by the exact same ``measure.similarity``
-        calls as the serial path, so the vector is bitwise identical to
-        scoring each pair in-process.
+        The query's candidates are one ``1 × len(cols)`` kernel block
+        (split into column blocks across workers), so the vector is
+        bitwise identical to scoring each pair in-process.
         """
         cols = (
             list(range(len(gallery)))
@@ -526,17 +574,10 @@ class ParallelSTS:
         if not cols:
             return np.empty(0)
         if self.n_jobs == 1 and deadline is None:
-            return np.array(
-                [float(self.measure.similarity(query, gallery[c])) for c in cols]
-            )
-        pairs = [(0, c) for c in cols]
-        if self.chunking == "cost":
-            costs = pair_costs(pairs, [len(query)], [len(t) for t in gallery])
-            chunks = chunk_pairs_by_cost(
-                pairs, costs, self.n_jobs, self.chunks_per_worker
-            )
-        else:
-            chunks = chunk_pairs(pairs, self.n_jobs, self.chunks_per_worker)
+            return similarity_block(self.measure, [query], [gallery[c] for c in cols])[0]
+        chunks = self._plan_blocks(
+            [0], sorted(set(cols)), [len(query)], [len(t) for t in gallery], False
+        )
         # The persistent arena must describe the gallery alone, so it
         # stays valid across calls with changing queries.
         arena = self._ensure_arena(gallery, None) if self._shm_wanted() else None
@@ -580,7 +621,7 @@ class ParallelSTS:
                 for triples in results.values()
                 for _i, j, score in triples
             }
-            return np.array([by_col[c] for c in cols])
+            return np.array([by_col[c] for c in cols], dtype=float)
         finally:
             if not self.persistent:
                 self._drop_arena()
@@ -597,26 +638,10 @@ class ParallelSTS:
             registry=self._registry,
         )
         try:
-            for triples in executor.map(_score_chunk, chunks):
-                for i, j, score in triples:
-                    out[i, j] = score
+            results = list(executor.map(_score_chunk, chunks))
         finally:
             executor.shutdown()
-        if queries is None:
-            upper = np.triu(out)
-            out = upper + np.triu(upper, 1).T
-        return out
-
-    def _serial_fast_path(self, out, pairs, gallery, queries) -> np.ndarray:
-        serial = self.measure.pairwise if hasattr(self.measure, "pairwise") else None
-        if serial is not None:
-            return serial(gallery, queries)
-        rows = gallery if queries is None else queries
-        for i, j in pairs:
-            out[i, j] = self.measure.similarity(rows[i], gallery[j])
-        if queries is None:
-            out = np.maximum(out, out.T)
-        return out
+        return _assemble(out, results, queries is None)
 
     def __repr__(self) -> str:
         return (

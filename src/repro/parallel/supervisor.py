@@ -8,8 +8,8 @@ result — and with a bare ``ProcessPoolExecutor`` one such event kills
 the whole run.
 
 :class:`SupervisedExecutor` wraps the same chunk protocol
-(:func:`~repro.parallel.pool._score_chunk` over ``(row, col)`` index
-pairs) with a supervision loop:
+(:func:`~repro.parallel.pool._score_chunk` over rectangular
+:class:`~repro.parallel.pool.Block` chunks) with a supervision loop:
 
 * **crash detection** — a ``BrokenProcessPool`` fails every in-flight
   chunk; the pool is rebuilt and the unfinished chunks re-dispatched.
@@ -55,6 +55,7 @@ from .pool import TELEMETRY_KEY, _init_worker, _score_chunk, _task_with_telemetr
 __all__ = ["ChunkEvent", "RunHealth", "SupervisedExecutor"]
 
 Triple = tuple[int, int, float]
+#: A chunk iterates the ``(row, col)`` pairs it owns (a pool ``Block``).
 Chunk = Sequence[tuple[int, int]]
 
 
@@ -223,7 +224,7 @@ class SupervisedExecutor:
         The chunk-scoring callable submitted to the pool (default
         :func:`~repro.parallel.pool._score_chunk`).  Must be picklable
         (top-level function or ``functools.partial`` of one) and accept
-        one argument: the chunk's pair list.
+        one argument: the chunk.
     executor_factory, executor_release:
         Pool lifecycle hooks for warm-pool reuse.  ``executor_factory(
         backend, n_workers)`` returns ``(executor, actual_backend)``;
@@ -601,8 +602,8 @@ class SupervisedExecutor:
                         ChunkEvent(k, attempt, "serial", "error", str(exc))
                     )
                     raise
-                # Skip policy: re-score the chunk pair by pair so only the
-                # genuinely failing pairs are lost, not chunk-mates.
+                # Skip policy: re-score the chunk one pair at a time so only
+                # the genuinely failing pairs are lost, not block-mates.
                 triples, n_bad = self._score_pairs_individually(chunks[k])
                 health.skipped_pairs += n_bad
                 health.record(

@@ -11,22 +11,27 @@ rigorous error interval:
 * every evaluated term contributes its exact value;
 * every unevaluated in-overlap term lies in ``[0, 1]``.
 
-So after evaluating a subset with partial sum ``S`` and ``u`` in-overlap
-terms outstanding, the exact Eq. 10 score provably lies in
-``[S / N, (S + u) / N]``.  :func:`anytime_similarity` evaluates terms in
-*best-first* order — in-overlap timestamps sorted by the distance
-between the two linearly-interpolated positions, closest first, so the
-terms most likely to carry co-location mass are resolved early and the
-lower bound climbs as fast as possible — in small batches through the
-vectorized :func:`~repro.core.colocation.colocation_batch` path,
-checking the :class:`~repro.serving.budget.Budget` between batches.
+So after evaluating a subset, the exact Eq. 10 score provably lies
+between the reduction with every outstanding in-overlap term set to 0
+and the same reduction with them set to 1.  :func:`anytime_similarity`
+evaluates terms in *best-first* order — in-overlap timestamps sorted by
+the distance between the two linearly-interpolated positions, closest
+first, so the terms most likely to carry co-location mass are resolved
+early and the lower bound climbs as fast as possible — in small batches
+through the vectorized :func:`~repro.core.colocation.colocation_batch`
+path, checking the :class:`~repro.serving.budget.Budget` between batches.
 
-Per-term values are independent of how terms are batched (the batched
-and single-query STP paths share one evaluation core), so a run whose
+Each term is the canonical Eq. 9 value of the block kernel
+(:mod:`repro.core.kernel`): the ascending-cell sum of its two
+distributions' products, independent of how terms are batched.  The
+score is the kernel's reduction — each trajectory's terms added
+sequentially in timestamp order (:func:`~repro.core.kernel.
+sequential_sum`), then :func:`~repro.core.kernel.eq10` — so a run whose
 budget never expires returns **bitwise** the same score as
-:meth:`repro.core.sts.STS.similarity`: the terms are accumulated into an
-array in the same concatenation order and summed with the same
-``ndarray.sum`` reduction.
+:meth:`repro.core.sts.STS.similarity`.  Both bounds come from that same
+reduction, and IEEE addition is monotone (``a ≤ b`` implies
+``fl(a + c) ≤ fl(b + c)``), so ``lower ≤ exact ≤ upper`` holds for the
+rounded values too, not just for the real numbers they approximate.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.colocation import colocation_batch
+from ..core.kernel import eq10, sequential_sum
 from ..core.trajectory import Trajectory
 from ..errors import DegenerateTrajectoryError
 from .budget import Budget
@@ -160,9 +166,19 @@ def anytime_similarity(
         evaluated += take
 
     outstanding = int(order.size - evaluated)
-    partial_sum = float(cps.sum())
-    lower = partial_sum / n_terms
-    upper = (partial_sum + outstanding) / n_terms
+    n1 = len(tra1)
+
+    def reduce(terms: np.ndarray) -> float:
+        return eq10(
+            sequential_sum(terms[:n1]), sequential_sum(terms[n1:]), n1, n_terms - n1
+        )
+
+    lower = reduce(cps)
+    if outstanding:
+        cps[order[evaluated:]] = 1.0
+        upper = reduce(cps)
+    else:
+        upper = lower
     completed = outstanding == 0
     value = lower if completed else 0.5 * (lower + upper)
     return AnytimeScore(

@@ -16,7 +16,13 @@ import numpy as np
 
 from ..core.trajectory import Trajectory
 
-__all__ = ["Measure", "register_measure", "available_measures", "get_measure_factory"]
+__all__ = [
+    "Measure",
+    "register_measure",
+    "available_measures",
+    "get_measure_factory",
+    "similarity_block",
+]
 
 
 class Measure(ABC):
@@ -46,6 +52,26 @@ class Measure(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def similarity_block(measure, rows, cols=None) -> np.ndarray:
+    """``S[i, j] = measure.similarity(rows[i], cols[j])`` over one block.
+
+    A measure with a block kernel (:meth:`repro.core.STS.similarity_block`)
+    scores the whole block in one call.  Any other object with a
+    ``similarity(a, b)`` method — a wrapper, a baseline — has no kernel to
+    call and is scored entry by entry.  ``cols=None`` scores ``rows``
+    against themselves.
+    """
+    kernel = getattr(measure, "similarity_block", None)
+    if kernel is not None:
+        return np.asarray(kernel(rows, cols), dtype=float)
+    cols = rows if cols is None else cols
+    out = np.empty((len(rows), len(cols)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            out[i, j] = measure.similarity(a, b)
+    return out
 
 
 _REGISTRY: dict[str, type | object] = {}

@@ -11,13 +11,13 @@ through each shipped execution path and compares the results:
   documented :data:`~repro.verify.oracle.ORACLE_ATOL`, since production
   deliberately truncates/sparsifies mass the oracle keeps.
 
-The rectangular ``queries × gallery`` matrix (rather than the gallery
-self-matrix) is chosen deliberately: for distinct queries every path
-scores each ``(query, gallery)`` cell through the identical
-``similarity(q, g)`` call, so bitwise equality is well-defined.  The
-self-matrix is *not* bitwise stable across paths — the serial path
-mirrors each unordered pair while the cluster scores both orientations,
-which agree only to round-off (see ``docs/CORRECTNESS.md``).
+Every path scores the rectangular ``queries × gallery`` matrix through
+the one Eq. 10 block kernel (:mod:`repro.core.kernel`) — as 1×1 blocks
+(serial), the whole matrix (batch), row/column blocks (parallel, pool,
+cluster) or term by term with the kernel's reduction (anytime).  A
+kernel entry depends only on its pair, so bitwise equality holds by
+construction; the ``symmetry`` and ``block_invariance`` relations check
+the same property on the self-matrix and on every sub-block.
 
 Results come back as a :class:`VerifyReport` (JSON + markdown) with
 per-check pass/fail, max absolute drift and max ulp distance, and are
@@ -152,7 +152,7 @@ def _run_oracle(corpus: VerificationCorpus) -> np.ndarray:
 PATHS: Dict[str, PathSpec] = {
     spec.name: spec
     for spec in (
-        PathSpec("serial", "nested similarity() loop (baseline)",
+        PathSpec("serial", "one similarity() (1x1 block) per cell (baseline)",
                  _run_serial),
         PathSpec("batch", "STS.pairwise, single process", _run_batch),
         PathSpec("parallel-thread", "STS.pairwise n_jobs=2 backend=thread",

@@ -10,9 +10,15 @@ two independent nets for the same fish.
 Catalogue (equation references are to PAPER.md):
 
 ``symmetry``
-    STS(Tra, Tra') = STS(Tra', Tra).  Eq. 10 is symmetric term by term;
-    only floating-point summation order differs, so equality holds to
-    round-off (1e-12 relative).
+    STS(Tra, Tra') = STS(Tra', Tra), bitwise.  Eq. 10 is symmetric term
+    by term, each term is computed the same way in both orientations, and
+    the kernel reduces the two sums separately before adding them — IEEE
+    addition commutes, so swapping the pair swaps two exact operands.
+``block_invariance``
+    Every entry of the corpus matrix is the same number however the
+    matrix is cut: each sub-block (1×1 blocks and the transposed
+    orientation included) equals the full matrix bitwise, because a
+    term's value and the reduction depend only on the pair.
 ``unit_range``
     0 ≤ STS ≤ 1.  Each CP (Eq. 9) is an inner product of two
     sub-stochastic vectors, hence in [0, 1]; Eq. 10 averages them.
@@ -105,10 +111,33 @@ def _run_symmetry(corpus: VerificationCorpus) -> List[RelationResult]:
     for a, b in _all_pairs(corpus):
         ab = measure.similarity(a, b)
         ba = measure.similarity(b, a)
-        scale = max(abs(ab), abs(ba), 1e-300)
         out.append(_result("symmetry", f"{a.object_id}~{b.object_id}",
-                           abs(ab - ba) / scale, 1e-12,
+                           abs(ab - ba), 0.0,
                            detail=f"ab={ab!r} ba={ba!r}"))
+    return out
+
+
+def _run_block_invariance(corpus: VerificationCorpus) -> List[RelationResult]:
+    everything = corpus.gallery + corpus.queries
+    n = len(everything)
+    full = corpus.measure().similarity_block(everything)
+    # Contiguous, interleaved and single-index cuts of both axes.
+    cuts = [list(range(0, n, 2)), list(range(1, n, 2)),
+            list(range(n // 2)), list(range(n // 2, n))]
+    cuts += [[i] for i in range(n)]
+    out = []
+    for rows in cuts:
+        for cols in cuts:
+            measure = corpus.measure()  # cold caches: nothing carried over
+            block = measure.similarity_block([everything[i] for i in rows],
+                                             [everything[j] for j in cols])
+            flipped = measure.similarity_block([everything[j] for j in cols],
+                                               [everything[i] for i in rows])
+            expect = full[np.ix_(rows, cols)]
+            drift = max(float(np.max(np.abs(block - expect))),
+                        float(np.max(np.abs(flipped.T - expect))))
+            out.append(_result("block_invariance",
+                               f"rows{rows}xcols{cols}", drift, 0.0))
     return out
 
 
@@ -271,7 +300,10 @@ RELATIONS: Dict[str, Relation] = {
     rel.name: rel
     for rel in (
         Relation("symmetry", "Eq. 10",
-                 "STS(a, b) == STS(b, a) to round-off", _run_symmetry),
+                 "STS(a, b) == STS(b, a) bitwise", _run_symmetry),
+        Relation("block_invariance", "Eq. 10",
+                 "every sub-block of the matrix, in either orientation, "
+                 "equals the full matrix bitwise", _run_block_invariance),
         Relation("unit_range", "Eqs. 9–10",
                  "scores lie in [0, 1]", _run_unit_range),
         Relation("time_shift", "Eqs. 3–10",

@@ -3,7 +3,8 @@
 :class:`FaultyMeasure` wraps a real similarity measure and injects one
 fault — ``"raise"``, ``"crash"`` (kills the worker process), ``"hang"``
 or ``"corrupt"`` (returns NaN) — the *first* time a chosen trajectory
-pair is scored, then behaves normally forever after.  "First time" is
+pair is scored, whether alone or inside a block, then behaves normally
+forever after.  "First time" is
 enforced across process boundaries with an ``O_CREAT | O_EXCL`` token
 file: whichever worker (or retry attempt) gets there first atomically
 claims the token and fires the fault; every later attempt sees the
@@ -72,17 +73,36 @@ class FaultyMeasure:
     def name(self) -> str:
         return f"faulty-{self.kind}({getattr(self.base, 'name', 'measure')})"
 
+    def _fire(self) -> bool:
+        """Inject the fault; True when the score must come back corrupt."""
+        if self.kind == "raise":
+            raise RuntimeError("injected fault: scoring failure")
+        if self.kind == "crash":
+            os._exit(1)
+        if self.kind == "hang":
+            time.sleep(self.hang_seconds)
+        return self.kind == "corrupt"
+
     def similarity(self, tra1, tra2) -> float:
         if {tra1.object_id, tra2.object_id} == self.target and self.token.fire():
-            if self.kind == "raise":
-                raise RuntimeError("injected fault: scoring failure")
-            if self.kind == "crash":
-                os._exit(1)
-            if self.kind == "hang":
-                time.sleep(self.hang_seconds)
-            elif self.kind == "corrupt":
+            if self._fire():
                 return float("nan")
         return self.base.similarity(tra1, tra2)
+
+    def similarity_block(self, rows, cols=None):
+        """The base measure's block kernel, faulted when the block holds the target."""
+        partners = rows if cols is None else cols
+        hits = [
+            (a, b)
+            for a, r in enumerate(rows)
+            for b, c in enumerate(partners)
+            if {r.object_id, c.object_id} == self.target
+        ]
+        corrupt = bool(hits) and self.token.fire() and self._fire()
+        out = self.base.similarity_block(rows, cols)
+        for a, b in hits if corrupt else ():
+            out[a, b] = float("nan")
+        return out
 
 
 class _SlowSTP:

@@ -1,18 +1,19 @@
 """Batched evaluation must match the per-time path exactly.
 
-``TrajectorySTP.stp_batch`` / ``colocation_batch`` / the prewarmed
+``TrajectorySTP.stp_batch`` / ``colocation_batch`` / the block-kernel
 ``STS.pairwise`` are pure performance features: they group queries by
 bracketing segment and amortize kernel/FFT work, but every distribution is
-produced by the same evaluation core as a singleton ``stp(t)`` call.  The
-tests here pin that contract *bitwise* — not "close", identical — across
-all four estimator modes, for observed / interpolated / duplicated /
-out-of-span query times.
+produced by the same evaluation core as a singleton ``stp(t)`` call, and
+every co-location term by the same sparse product.  The tests here pin
+that contract *bitwise* — not "close", identical — across all four
+estimator modes, for observed / interpolated / duplicated / out-of-span
+query times.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.colocation import colocation_batch, sparse_inner
+from repro.core.colocation import colocation_batch, colocation_probability
 from repro.core.grid import Grid
 from repro.core.sts import STS, sts_f
 from repro.core.trajectory import Trajectory
@@ -103,12 +104,20 @@ class TestColocationBatch:
         times = np.concatenate([walker.timestamps, companion.timestamps])
         batch = colocation_batch(stp1, stp2, times)
 
+        # Fresh estimators, one query time per call.
         ref_measure = STS(grid)
         ref1, ref2 = ref_measure.stp_for(walker), ref_measure.stp_for(companion)
-        singles = np.array(
-            [sparse_inner(ref1.stp(float(t)), ref2.stp(float(t))) for t in times]
-        )
+        singles = np.array([colocation_probability(ref1, ref2, float(t)) for t in times])
         assert np.array_equal(batch, singles)
+        # Each term is the ascending-cell sum of the two distributions'
+        # products over their common support.
+        for t, value in zip(times, batch):
+            (ca, pa), (cb, pb) = ref1.stp(float(t)), ref2.stp(float(t))
+            common, ia, ib = np.intersect1d(ca, cb, assume_unique=True, return_indices=True)
+            expected = 0.0
+            for k in np.argsort(common):
+                expected += pa[ia[k]] * pb[ib[k]]
+            assert value == expected
         assert ((batch >= 0.0) & (batch <= 1.0)).all()
 
     def test_empty_times(self, grid, walker, companion):
@@ -118,6 +127,8 @@ class TestColocationBatch:
 
 
 class TestPrewarmedPairwise:
+    """The block-kernel matrix against per-pair (1×1 block) scoring."""
+
     def test_symmetric_matrix_matches_per_pair_similarity(self, grid, walker, companion):
         gallery = [walker, companion]
         matrix = STS(grid).pairwise(gallery)
@@ -138,8 +149,8 @@ class TestPrewarmedPairwise:
         assert np.array_equal(matrix, expected)
 
     def test_prewarm_skipped_when_caches_disabled(self, grid, walker, companion):
-        # With stp_cache_size=0 the prewarm pass would be pure waste; the
-        # result must still be identical through the plain per-pair path.
+        # With stp_cache_size=0 nothing the resolution step computes is
+        # memoized; the matrix must still be identical.
         matrix = STS(grid, stp_cache_size=0).pairwise([walker, companion])
         expected = STS(grid).pairwise([walker, companion])
         assert np.allclose(matrix, expected, rtol=0, atol=0)

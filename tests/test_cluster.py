@@ -197,16 +197,17 @@ class TestClusterService:
             clustered = measure.pairwise(gallery, queries, cluster=svc)
         np.testing.assert_array_equal(clustered, serial)
 
-    def test_pairwise_self_matrix_symmetric_to_roundoff(self):
-        """The serial self-matrix mirrors each unordered pair; the cluster
-        scores both orientations — equal to float round-off, not bitwise."""
+    def test_pairwise_self_matrix_symmetric_bitwise(self):
+        """The serial self-matrix scores each unordered pair once; the
+        cluster scores both orientations — and they agree bitwise, since
+        Eq. 10's two sums are reduced separately and then added."""
         grid = Grid(0, 0, 40, 20, cell_size=2.0)
         gallery = make_gallery(5, seed=9)
         serial = STS(grid).pairwise(gallery)
         measure = STS(grid)
         with ClusterService(measure, gallery, n_shards=2, n_replicas=2) as svc:
             clustered = measure.pairwise(gallery, cluster=svc)
-        np.testing.assert_allclose(clustered, serial, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(clustered, serial)
 
     def test_closed_service_refuses_queries(self):
         grid = Grid(0, 0, 40, 20, cell_size=2.0)

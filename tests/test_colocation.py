@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.colocation import (
-    colocation_probability,
-    colocation_series,
-    sparse_inner,
-)
+from repro.core.colocation import colocation_batch, colocation_probability
 from repro.core.grid import Grid
+from repro.core.kernel import colocation_terms
 from repro.core.noise import DeterministicNoiseModel, GaussianNoiseModel
 from repro.core.speed import KDESpeedModel
 from repro.core.stprob import TrajectorySTP
@@ -22,12 +19,19 @@ def make_stp(traj, grid, noise=None):
     return TrajectorySTP(traj, grid, noise, transition)
 
 
+def sparse_inner(a, b, n_cells=100):
+    """One Eq. 9 term through the kernel's sparse product."""
+    return colocation_terms([a], np.array([0]), [(np.array([0]), [b])], n_cells)[0, 0]
+
+
 @pytest.fixture
 def grid():
     return Grid(0, 0, 40, 20, cell_size=2.0)
 
 
 class TestSparseInner:
+    """The inner product of two sparse cell distributions (Eq. 9)."""
+
     def test_disjoint_supports(self):
         a = (np.array([0, 1]), np.array([0.5, 0.5]))
         b = (np.array([2, 3]), np.array([0.5, 0.5]))
@@ -35,12 +39,13 @@ class TestSparseInner:
 
     def test_identical_point_masses(self):
         a = (np.array([7]), np.array([1.0]))
-        assert sparse_inner(a, a) == pytest.approx(1.0)
+        assert sparse_inner(a, a) == 1.0
 
     def test_partial_overlap(self):
         a = (np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5]))
         b = (np.array([1, 2, 3]), np.array([0.4, 0.1, 0.5]))
-        assert sparse_inner(a, b) == pytest.approx(0.3 * 0.4 + 0.5 * 0.1)
+        # Ascending-cell sequential sum of the products, bitwise.
+        assert sparse_inner(a, b) == 0.3 * 0.4 + 0.5 * 0.1
 
     def test_empty_distribution(self):
         empty = (np.empty(0, dtype=int), np.empty(0))
@@ -66,6 +71,18 @@ class TestSparseInner:
         dense_b = np.zeros(50)
         dense_b[cells_b] = pb
         assert sparse_inner((cells_a, pa), (cells_b, pb)) == pytest.approx(dense_a @ dense_b)
+
+    def test_sum_runs_in_ascending_cell_order(self, rng):
+        for _ in range(20):
+            cells = np.sort(rng.choice(100, size=30, replace=False))
+            pa, pb = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(30))
+            expected = 0.0
+            for x, y in zip(pa, pb):
+                expected += x * y
+            assert sparse_inner((cells, pa), (cells, pb)) == expected
+            # Multiplication commutes, so the side a distribution sits on
+            # does not change the term.
+            assert sparse_inner((cells, pb), (cells, pa)) == expected
 
 
 class TestColocationProbability:
@@ -102,15 +119,13 @@ class TestColocationProbability:
         b = Trajectory.from_arrays([3, 7, 11], [10, 10, 10], [1, 5, 9])
         sa, sb = make_stp(a, grid), make_stp(b, grid)
         times = np.array([0.0, 2.0, 5.0])
-        series = colocation_series(sa, sb, times)
+        series = colocation_batch(sa, sb, times)
         for t, v in zip(times, series):
-            assert v == pytest.approx(colocation_probability(sa, sb, float(t)))
+            assert v == colocation_probability(sa, sb, float(t))
 
     def test_symmetric(self, grid):
         a = Trajectory.from_arrays([2, 6, 10], [8, 10, 12], [0, 4, 8])
         b = Trajectory.from_arrays([4, 8, 12], [10, 10, 10], [1, 5, 9])
         sa, sb = make_stp(a, grid), make_stp(b, grid)
         for t in [1.0, 3.0, 7.5]:
-            assert colocation_probability(sa, sb, t) == pytest.approx(
-                colocation_probability(sb, sa, t)
-            )
+            assert colocation_probability(sa, sb, t) == colocation_probability(sb, sa, t)

@@ -197,6 +197,45 @@ class TestRegistry:
         del source
         assert "depth" not in registry.snapshot().get("gauges", {})
 
+    def test_short_lived_collectors_are_dropped_in_linear_time(self):
+        # Every STS registers a collector, and serving builds a fresh
+        # measure per operation: dead collectors must neither pile up nor
+        # make the next registration or snapshot scan them all.
+        import time
+
+        registry = MetricsRegistry()
+
+        class Source:
+            def collect(self):
+                return [("gauge", "live", {}, 1.0)]
+
+        keep = Source()
+        registry.register_collector(keep.collect)
+        t0 = time.perf_counter()
+        for _ in range(5000):
+            registry.register_collector(Source().collect)
+        # Dropped as their owners die, not at the next snapshot.
+        assert len(registry._collectors) <= 2
+        snap = registry.snapshot()
+        elapsed = time.perf_counter() - t0
+        assert snap["gauges"]["live"][""] == 1.0
+        assert elapsed < 1.0, f"5000 short-lived collectors took {elapsed:.2f} s"
+
+    def test_collector_of_a_new_object_counts_after_owner_death(self):
+        # A new owner may reuse a dead owner's id(); it must still count.
+        registry = MetricsRegistry()
+
+        class Source:
+            def collect(self):
+                return [("gauge", "live", {}, 1.0)]
+
+        for _ in range(50):
+            source = Source()
+            registry.register_collector(source.collect)
+            registry.register_collector(source.collect)  # idempotent
+            assert registry.snapshot()["gauges"]["live"][""] == 1.0
+            del source
+
     def test_value_reads_one_metric(self):
         registry = MetricsRegistry()
         registry.counter("x_total").inc(2, kind="a")
