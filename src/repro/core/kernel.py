@@ -18,10 +18,12 @@ cell)`` columns makes each sum *one* ``scipy.sparse`` product:
     at its own and the row side's; a self block (rows against
     themselves) resolves every trajectory at the union.
 ``(b) multiply``
-    :func:`colocation_terms` builds one sparse row per (trajectory, own
-    timestamp) term and one CSR row per partner holding the partner's
-    STPs, and multiplies them: entry ``[term, partner]`` is that term's
-    CP.  A rectangular block stacks both sides into one product.
+    A :class:`TermMatrix` holds one sparse column per (trajectory, own
+    timestamp) term, and one CSR row per partner holds the partner's
+    STPs; their product's entry ``[term, partner]`` is that term's CP.
+    Each side is one product (a self block has one side, a rectangular
+    block two), taken in partner slices that keep the dense result
+    under :data:`SCRATCH_ENTRIES`.
 ``(c) reduce``
     :func:`term_sums` adds each trajectory's terms one at a time in
     timestamp order, and :func:`eq10` divides the two sums of a pair by
@@ -56,6 +58,7 @@ from .trajectory import Trajectory
 
 __all__ = [
     "BlockSide",
+    "TermMatrix",
     "colocation_terms",
     "term_sums",
     "sequential_sum",
@@ -68,6 +71,12 @@ __all__ = [
 #: Index dtype of the sparse operands: scipy copies wider indices down to
 #: int32 whenever they fit, and a block's entries stay far below 2³¹.
 _INDEX = np.int32
+
+#: Most dense product entries one multiplication materialises (8 MiB of
+#: float64).  A side with ``T`` terms multiplies its partners in slices of
+#: ``SCRATCH_ENTRIES // T``, so a block's scratch grows with its terms plus
+#: its partners, never with their product.
+SCRATCH_ENTRIES = 1 << 20
 
 
 def _entries(
@@ -104,30 +113,59 @@ def _indptr(sizes: np.ndarray) -> np.ndarray:
     return indptr
 
 
-def _columns(a_keys: np.ndarray, b_keys: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Compact column ids for the product: A's distinct keys, ascending.
+class TermMatrix:
+    """One side's terms as the right operand of the Eq. 9 product.
 
-    Only columns some term occupies can contribute, so compacting to them
-    keeps the transposed partner matrix O(nnz) rather than O(slots ·
-    cells).  A partner entry on a key no term has goes to one spare column
-    past the others, which no term row reads.  Keys are looked up in a
-    dense table when the key space is not much larger than the entries,
-    else found by binary search; both give the same ids.
+    ``terms[k]`` is a distribution in slot ``slots[k]`` (a timestamp
+    index); its entries sit at keys ``slot * n_cells + cell``.  Only keys
+    some term holds can contribute, so the matrix has one row per distinct
+    term key, ascending, plus a spare empty row that absorbs every partner
+    entry no term shares: the product stays ``O(nnz)`` rather than
+    ``O(slots · cells)``.  Built once per side and reused for every slice
+    of partners.
     """
-    n_keys = int(max(a_keys.max(), b_keys.max())) + 1
-    if n_keys <= 8 * (a_keys.size + b_keys.size):
-        lookup = np.full(n_keys, -1, dtype=_INDEX)
-        lookup[a_keys] = 0
-        columns = np.flatnonzero(lookup == 0)
-        lookup[columns] = np.arange(columns.size, dtype=_INDEX)
-        a_cols, b_cols = lookup[a_keys], lookup[b_keys]
-    else:
-        columns = _sorted_unique(a_keys)
-        a_cols = np.searchsorted(columns, a_keys).astype(_INDEX)
-        b_cols = np.searchsorted(columns, b_keys).astype(_INDEX)
-        b_cols[columns[np.minimum(b_cols, columns.size - 1)] != b_keys] = -1
-    b_cols[b_cols < 0] = columns.size
-    return columns.size, a_cols, b_cols
+
+    def __init__(
+        self, terms: Sequence[SparseDistribution], slots: np.ndarray, n_cells: int
+    ) -> None:
+        keys, probs, sizes = _entries(terms, slots, n_cells)
+        self.n_cells = n_cells
+        self.n_terms = len(terms)
+        self.keys = _sorted_unique(keys)
+        rows = np.searchsorted(self.keys, keys).astype(_INDEX)
+        self.matrix = sparse.csc_matrix(
+            (probs, rows, _indptr(sizes)), shape=(self.keys.size + 1, self.n_terms)
+        ).tocsr()
+
+    def products(
+        self, partners: Sequence[tuple[np.ndarray, Sequence[SparseDistribution]]]
+    ) -> np.ndarray:
+        """Eq. 9 for every (term, partner) pair: a dense ``terms × partners`` array.
+
+        Each partner is ``(slots, dists)``, its distributions at those
+        slots.  Entry ``[k, p]`` is the inner product of term ``k`` with
+        partner ``p``'s distribution in the same slot, summed in ascending
+        cell order — 0 when the partner has nothing there (outside its
+        span, Eq. 5 case 3).
+        """
+        if not self.n_terms or not partners:
+            return np.zeros((self.n_terms, len(partners)))
+        keys, probs, sizes = _entries(
+            [d for _slots, dists in partners for d in dists],
+            np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in partners]),
+            self.n_cells,
+        )
+        if self.keys.size == 0 or keys.size == 0:
+            return np.zeros((self.n_terms, len(partners)))
+        cols = np.searchsorted(self.keys, keys).astype(_INDEX)
+        cols[self.keys[np.minimum(cols, self.keys.size - 1)] != keys] = self.keys.size
+        # Partner p's row holds its distributions' entries, contiguous and,
+        # within a slot, in ascending cell order.  scipy accumulates each
+        # output entry in the left row's stored order, and a term occupies
+        # a single slot, so every term adds its products by ascending cell.
+        indptr = _indptr(sizes)[_indptr(np.array([len(d) for _s, d in partners]))]
+        left = sparse.csr_matrix((probs, cols, indptr), shape=(len(partners), self.keys.size + 1))
+        return (left @ self.matrix).toarray().T
 
 
 def colocation_terms(
@@ -138,35 +176,10 @@ def colocation_terms(
 ) -> np.ndarray:
     """Eq. 9 for every (term, partner) pair, as one sparse product.
 
-    ``terms[k]`` is a distribution in slot ``term_slots[k]`` (a timestamp
-    index); each partner is ``(slots, dists)``, its distributions at those
-    slots.  Entry ``[k, p]`` of the dense ``len(terms) × len(partners)``
-    result is the inner product of ``terms[k]`` with partner ``p``'s
-    distribution in the same slot, summed in ascending cell order — 0 when
-    the partner has nothing there (outside its span, Eq. 5 case 3).
+    ``terms[k]`` is a distribution in slot ``term_slots[k]``; see
+    :meth:`TermMatrix.products` for the partners and the result.
     """
-    out_shape = (len(terms), len(partners))
-    if not terms or not partners:
-        return np.zeros(out_shape)
-    a_keys, a_probs, a_sizes = _entries(terms, term_slots, n_cells)
-    b_keys, b_probs, b_sizes = _entries(
-        [d for _slots, dists in partners for d in dists],
-        np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in partners]),
-        n_cells,
-    )
-    if a_keys.size == 0 or b_keys.size == 0:
-        return np.zeros(out_shape)
-    n_columns, a_cols, b_cols = _columns(a_keys, b_keys)
-    # Partner p's row holds the entries of its distributions, contiguous
-    # and, within a slot, in ascending cell order.
-    b_indptr = _indptr(b_sizes)[_indptr(np.array([len(d) for _s, d in partners]))]
-    b = sparse.csr_matrix((b_probs, b_cols, b_indptr), shape=(len(partners), n_columns + 1))
-    # The terms' matrix, transposed.  Multiplying the larger partner side
-    # from the left converts only the terms' side; an entry still adds its
-    # products in the partner row's order, which within the term's one
-    # slot is ascending cell.
-    a_t = sparse.csc_matrix((a_probs, a_cols, _indptr(a_sizes)), shape=(n_columns + 1, len(terms)))
-    return (b @ a_t).toarray().T
+    return TermMatrix(terms, term_slots, n_cells).products(partners)
 
 
 def term_sums(products: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -176,20 +189,19 @@ def term_sums(products: np.ndarray, counts: np.ndarray) -> np.ndarray:
     of them for trajectory ``i``.  Row ``i`` of the result is the
     sequential sum ``((0 + term₀) + term₁) + …`` of trajectory ``i``'s rows
     — the same value :func:`sequential_sum` gives for one trajectory's
-    terms, whatever else shares the block.  The rows are laid out one
-    trajectory per plane, zero-padded at the end (adding ``+0.0`` changes
-    no sum), and accumulated along the term axis.
+    terms, whatever else shares the block.  Trajectories with the same
+    term count are accumulated together along the term axis, so the
+    scratch never exceeds ``products`` itself.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    longest = int(counts.max(initial=0))
-    if longest == 0:
-        return np.zeros((counts.size, products.shape[1]))
-    planes = np.zeros((counts.size, longest, products.shape[1]))
-    owner = np.repeat(np.arange(counts.size), counts)
-    position = np.arange(owner.size) - np.repeat(_indptr(counts)[:-1], counts)
-    planes[owner, position] = products
-    np.add.accumulate(planes, axis=1, out=planes)
-    return planes[:, -1, :].copy()
+    sums = np.zeros((counts.size, products.shape[1]))
+    starts = _indptr(counts)[:-1]
+    for count in _sorted_unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == count)
+        rows = products[starts[group, None] + np.arange(count)]
+        np.add.accumulate(rows, axis=1, out=rows)
+        sums[group] = rows[:, -1]
+    return sums
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -214,37 +226,31 @@ class BlockSide:
 
     ``terms`` holds every own-timestamp distribution of the side's
     trajectories, ``counts[i]`` of them for trajectory ``i``, each in slot
-    ``slots[k]`` of the side's ``n_slots`` timestamps.  ``partners`` holds,
-    for every trajectory of the *other* side, ``(slots, dists)``: its
-    distributions at the slots inside its span.
+    ``slots[k]`` (an index into the side's timestamps).  ``partners``
+    holds, for every trajectory of the *other* side, ``(slots, dists)``:
+    its distributions at the slots inside its span, ascending.
     """
 
     terms: list
     slots: np.ndarray
     counts: np.ndarray
     partners: list
-    n_slots: int
 
     def sums(self, n_cells: int) -> np.ndarray:
-        """``[i, p]`` = Σ over trajectory ``i``'s terms of CP with partner ``p``."""
-        products = colocation_terms(self.terms, self.slots, self.partners, n_cells)
-        return term_sums(products, self.counts)
+        """``[i, p]`` = Σ over trajectory ``i``'s terms of CP with partner ``p``.
 
-    def stacked(self, other: "BlockSide") -> "BlockSide":
-        """Both sides as one, ``other``'s slots shifted past this side's.
-
-        The shifted slots share no key with this side's, so the stacked
-        product computes every term exactly as the two separate products
-        would, with one product's fixed cost instead of two.
+        Partners are multiplied in slices of at most
+        :data:`SCRATCH_ENTRIES` ``// terms``, so the dense products stay
+        bounded however wide the block is; a term's value does not depend
+        on the slice it is computed in.
         """
-        shift = self.n_slots
-        return BlockSide(
-            terms=self.terms + other.terms,
-            slots=np.concatenate([self.slots, other.slots + shift]),
-            counts=np.concatenate([self.counts, other.counts]),
-            partners=self.partners + [(s + shift, d) for s, d in other.partners],
-            n_slots=shift + other.n_slots,
-        )
+        out = np.empty((self.counts.size, len(self.partners)))
+        matrix = TermMatrix(self.terms, self.slots, n_cells)
+        step = max(1, SCRATCH_ENTRIES // max(1, len(self.terms)))
+        for lo in range(0, len(self.partners), step):
+            products = matrix.products(self.partners[lo:lo + step])
+            out[:, lo:lo + step] = term_sums(products, self.counts)
+        return out
 
 
 def _resolve(
@@ -283,7 +289,6 @@ def _side(trajectories, resolved, times, partner_resolved) -> BlockSide:
         slots=np.searchsorted(times, own_times),
         counts=np.array([len(t) for t in trajectories], dtype=np.int64),
         partners=[partner for _own, partner in partner_resolved],
-        n_slots=times.size,
     )
 
 
@@ -321,11 +326,9 @@ def score_sides(row_side: BlockSide, col_side: BlockSide | None, n_cells: int) -
         sums = row_side.sums(n_cells)
         lengths = row_side.counts.astype(float)
         return eq10(sums, sums.T, lengths[:, None], lengths[None, :])
-    m, n = row_side.counts.size, col_side.counts.size
-    sums = row_side.stacked(col_side).sums(n_cells)
     return eq10(
-        sums[:m, :n],
-        sums[m:, n:].T,
+        row_side.sums(n_cells),
+        col_side.sums(n_cells).T,
         row_side.counts.astype(float)[:, None],
         col_side.counts.astype(float)[None, :],
     )

@@ -284,8 +284,11 @@ class STS:
         against themselves (a bitwise-symmetric matrix).  Resolution, the
         two sparse products and the reduction are those of
         :mod:`repro.core.kernel`; every entry equals the 1×1 call on its
-        pair bitwise.  The similarity-call counter grows by the number of
-        distinct pairs scored.
+        pair bitwise.  Wide blocks are multiplied in slices of partners
+        (:data:`repro.core.kernel.SCRATCH_ENTRIES`), so the scratch grows
+        with the block's terms and partners, not with their product.  The
+        similarity-call counter grows by the number of distinct pairs
+        scored.
         """
         rows = list(rows)
         cols = None if cols is None else list(cols)

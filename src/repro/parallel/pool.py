@@ -319,16 +319,16 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def chunk_pairs(
-    pairs: Sequence[tuple[int, int]], n_workers: int, chunks_per_worker: int = 4
-) -> list[list[tuple[int, int]]]:
-    """Split the pair list into interleaved chunks for dispatch.
+def chunk_pairs(pairs: Sequence, n_workers: int, chunks_per_worker: int = 4) -> list[list]:
+    """Split a list of work items into interleaved chunks for dispatch.
 
-    Chunks are taken round-robin (``pairs[k::n_chunks]``) rather than as
-    contiguous slices: pair costs correlate with trajectory length and
-    neighbouring pairs share a row, so contiguous slabs would concentrate
-    the expensive rows in a few unlucky workers.  Interleaving spreads
-    them evenly while remaining fully deterministic.
+    The items may be pairs or, as :class:`~repro.parallel.ParallelSTS`
+    uses it, trajectory indices dealt into the index groups of its
+    blocks.  Chunks are taken round-robin (``pairs[k::n_chunks]``) rather
+    than as contiguous slices: costs correlate with trajectory length and
+    neighbouring items share a row, so contiguous slabs would concentrate
+    the expensive ones in a few unlucky chunks.  Interleaving spreads them
+    evenly while remaining fully deterministic.
     """
     if not pairs:
         return []
@@ -353,18 +353,20 @@ def pair_costs(
 
 
 def chunk_pairs_by_cost(
-    pairs: Sequence[tuple[int, int]],
+    pairs: Sequence,
     costs: Sequence[int],
     n_workers: int,
     chunks_per_worker: int = 4,
-) -> list[list[tuple[int, int]]]:
-    """Partition pairs into chunks of near-equal *total cost*.
+) -> list[list]:
+    """Partition work items into chunks of near-equal *total cost*.
 
-    Deterministic greedy LPT: pairs are taken in decreasing cost order
+    The items may be pairs or trajectory indices (the index groups of
+    :class:`~repro.parallel.ParallelSTS` blocks, weighted by length).
+    Deterministic greedy LPT: items are taken in decreasing cost order
     (ties broken by original position, so the plan is reproducible and
     checkpoint-stable) and each goes to the currently lightest chunk.
-    Within a chunk the original pair order is restored, keeping journals
-    readable.  Every pair appears in exactly one chunk, so the assembled
+    Within a chunk the original order is restored, keeping journals
+    readable.  Every item appears in exactly one chunk, so the assembled
     matrix is bitwise independent of the chunking policy.
     """
     if not pairs:

@@ -230,6 +230,10 @@ class ParallelSTS:
     ) -> dict:
         return {
             "kind": "pairwise",
+            # Chunk k is the k-th rectangular Block of _plan_blocks; journals
+            # whose chunks were interleaved pair lists carry no "plan" and
+            # must not resume into blocks, even when the counts match.
+            "plan": "blocks",
             "measure": getattr(self.measure, "name", type(self.measure).__name__),
             "n_rows": n_rows,
             "n_cols": n_cols,

@@ -8,6 +8,8 @@ trajectory's terms sequentially in timestamp order; and resolution reads
 a trajectory only at the timestamps its partners' terms need.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,15 @@ from hypothesis import strategies as st
 from repro.core import STS
 from repro.core.colocation import colocation_batch
 from repro.core.grid import Grid
-from repro.core.kernel import colocation_terms, eq10, sequential_sum, term_sums
+from repro.core import kernel
+from repro.core.kernel import (
+    BlockSide,
+    colocation_terms,
+    eq10,
+    score_sides,
+    sequential_sum,
+    term_sums,
+)
 from repro.core.trajectory import Trajectory
 from repro.errors import DegenerateTrajectoryError
 from repro.serving import anytime_similarity
@@ -124,10 +134,9 @@ class TestReduction:
 
 
 class TestProducts:
-    def test_large_key_space_matches_dense_lookup(self, rng):
-        # A fine grid makes slots × cells far larger than the entries, so
-        # the product finds its columns by binary search instead of a
-        # dense table; both must give the same terms bitwise.
+    def test_terms_are_ascending_cell_sums_on_any_key_space(self, rng):
+        # A fine grid makes slots × cells far larger than the entries;
+        # the terms must not depend on it.
         def dist(n, span):
             cells = np.sort(rng.choice(span, size=n, replace=False))
             return cells, rng.dirichlet(np.ones(n))
@@ -145,6 +154,47 @@ class TestProducts:
                 for cell, prob in zip(cells, probs):
                     expected += prob * other.get(cell, 0.0)
                 assert small[k, p] == expected
+
+
+def _block_side(n_traj, n_partners, length, rng):
+    """A synthetic resolved side: ``n_traj`` trajectories of ``length``
+    terms against ``n_partners`` partners, all on one clock."""
+    pool = []
+    for _ in range(16):
+        cells = np.sort(rng.choice(64, size=6, replace=False))
+        pool.append((cells, rng.dirichlet(np.ones(6))))
+    return BlockSide(
+        terms=[pool[k % 16] for k in range(n_traj * length)],
+        slots=np.tile(np.arange(length), n_traj),
+        counts=np.full(n_traj, length, dtype=np.int64),
+        partners=[
+            (np.arange(length), [pool[(p + s) % 16] for s in range(length)])
+            for p in range(n_partners)
+        ],
+    )
+
+
+class TestScratch:
+    def test_one_by_k_block_scratch_grows_linearly_in_k(self, rng):
+        """A 1×k block multiplies L×k and kL×1 terms: O(k · L), not O(k²)."""
+        length, peaks = 12, {}
+        for k in (100, 800):
+            sides = (_block_side(1, k, length, rng), _block_side(k, 1, length, rng))
+            tracemalloc.start()
+            try:
+                score_sides(*sides, n_cells=64)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[800] < 1.5 * 8 * peaks[100], peaks
+
+    def test_partner_slices_leave_every_entry_unchanged(self, monkeypatch):
+        measure = STS(GRID)
+        rows, cols = CORPUS[:4], CORPUS[2:]
+        expected = (measure.similarity_block(CORPUS), measure.similarity_block(rows, cols))
+        monkeypatch.setattr(kernel, "SCRATCH_ENTRIES", 7)
+        np.testing.assert_array_equal(measure.similarity_block(CORPUS), expected[0])
+        np.testing.assert_array_equal(measure.similarity_block(rows, cols), expected[1])
 
 
 class TestResolution:

@@ -201,8 +201,6 @@ class TestRegistry:
         # Every STS registers a collector, and serving builds a fresh
         # measure per operation: dead collectors must neither pile up nor
         # make the next registration or snapshot scan them all.
-        import time
-
         registry = MetricsRegistry()
 
         class Source:
@@ -211,15 +209,11 @@ class TestRegistry:
 
         keep = Source()
         registry.register_collector(keep.collect)
-        t0 = time.perf_counter()
         for _ in range(5000):
             registry.register_collector(Source().collect)
         # Dropped as their owners die, not at the next snapshot.
         assert len(registry._collectors) <= 2
-        snap = registry.snapshot()
-        elapsed = time.perf_counter() - t0
-        assert snap["gauges"]["live"][""] == 1.0
-        assert elapsed < 1.0, f"5000 short-lived collectors took {elapsed:.2f} s"
+        assert registry.snapshot()["gauges"]["live"][""] == 1.0
 
     def test_collector_of_a_new_object_counts_after_owner_death(self):
         # A new owner may reuse a dead owner's id(); it must still count.

@@ -310,6 +310,22 @@ class TestCheckpointFingerprint:
         assert fp_count["chunking"] == "count"
         assert fp_cost["chunking"] == "cost"
 
+    def test_journal_of_pair_list_chunks_is_refused(self, grid, gallery, tmp_path):
+        # A journal whose chunks were pair lists has the same counts as a
+        # block plan but no "plan" entry; resuming it would read its chunk
+        # k as block k.
+        import json
+
+        from repro.errors import CheckpointError
+
+        path = tmp_path / "pairwise.ckpt"
+        ParallelSTS(STS(grid), n_jobs=1).pairwise(gallery, checkpoint=str(path))
+        journal = json.loads(path.read_text())
+        assert journal["fingerprint"].pop("plan") == "blocks"
+        path.write_text(json.dumps(journal))
+        with pytest.raises(CheckpointError, match="different run"):
+            ParallelSTS(STS(grid), n_jobs=1).pairwise(gallery, checkpoint=str(path))
+
     def test_checkpoint_resume_still_works_with_shm(self, grid, gallery, tmp_path):
         path = str(tmp_path / "pairwise.ckpt")
         serial = STS(grid).pairwise(gallery)
