@@ -8,8 +8,9 @@ and each term is the inner product of two sparse STP vectors.  Over a
 ``rows × cols`` block of pairs, every term of the first sum pairs one row
 trajectory at one of its own timestamps with a column trajectory resolved
 at that timestamp, and every term of the second sum does the same with
-the sides swapped.  Stacking the terms as sparse rows over ``(timestamp,
-cell)`` columns makes each sum *one* ``scipy.sparse`` product:
+the sides swapped.  Laying the terms and the partners out as sparse
+vectors over ``(timestamp, cell)`` keys makes each sum *one*
+``scipy.sparse`` product:
 
 ``(a) resolve``
     One :meth:`~repro.core.stprob.TrajectorySTP.stp_batch` per
@@ -18,16 +19,19 @@ cell)`` columns makes each sum *one* ``scipy.sparse`` product:
     at its own and the row side's; a self block (rows against
     themselves) resolves every trajectory at the union.
 ``(b) multiply``
-    A :class:`TermMatrix` holds one sparse column per (trajectory, own
-    timestamp) term, and one CSR row per partner holds the partner's
+    :func:`colocation_terms` builds one sparse column per (trajectory,
+    own timestamp) term and one CSR row per partner holding the partner's
     STPs; their product's entry ``[term, partner]`` is that term's CP.
-    Each side is one product (a self block has one side, a rectangular
-    block two), taken in partner slices that keep the dense result
-    under :data:`SCRATCH_ENTRIES`.
+    Each side is one product: a self block has one side, a rectangular
+    block two.
 ``(c) reduce``
     :func:`term_sums` adds each trajectory's terms one at a time in
     timestamp order, and :func:`eq10` divides the two sums of a pair by
     ``|Tra| + |Tra'|``.
+
+:meth:`repro.core.STS.similarity_block` runs the three steps on each
+sub-block :func:`plan_sub_blocks` cuts, so resolution and products never
+hold more than :data:`SUB_BLOCK_PRODUCTS` of either at once.
 
 Canonical terms
 ---------------
@@ -58,13 +62,13 @@ from .trajectory import Trajectory
 
 __all__ = [
     "BlockSide",
-    "TermMatrix",
     "colocation_terms",
     "term_sums",
     "sequential_sum",
     "eq10",
     "resolve_block",
     "score_sides",
+    "plan_sub_blocks",
 ]
 
 
@@ -72,11 +76,11 @@ __all__ = [
 #: int32 whenever they fit, and a block's entries stay far below 2³¹.
 _INDEX = np.int32
 
-#: Most dense product entries one multiplication materialises (8 MiB of
-#: float64).  A side with ``T`` terms multiplies its partners in slices of
-#: ``SCRATCH_ENTRIES // T``, so a block's scratch grows with its terms plus
-#: its partners, never with their product.
-SCRATCH_ENTRIES = 1 << 20
+#: Most (term, partner) products one sub-block computes: its dense
+#: products take at most 1 MiB, and its resolution holds at most this many
+#: partner distributions.  :func:`plan_sub_blocks` cuts larger blocks, so
+#: a block's working set stays bounded however large the block is.
+SUB_BLOCK_PRODUCTS = 1 << 17
 
 
 def _entries(
@@ -113,61 +117,6 @@ def _indptr(sizes: np.ndarray) -> np.ndarray:
     return indptr
 
 
-class TermMatrix:
-    """One side's terms as the right operand of the Eq. 9 product.
-
-    ``terms[k]`` is a distribution in slot ``slots[k]`` (a timestamp
-    index); its entries sit at keys ``slot * n_cells + cell``.  Only keys
-    some term holds can contribute, so the matrix has one row per distinct
-    term key, ascending, plus a spare empty row that absorbs every partner
-    entry no term shares: the product stays ``O(nnz)`` rather than
-    ``O(slots · cells)``.  Built once per side and reused for every slice
-    of partners.
-    """
-
-    def __init__(
-        self, terms: Sequence[SparseDistribution], slots: np.ndarray, n_cells: int
-    ) -> None:
-        keys, probs, sizes = _entries(terms, slots, n_cells)
-        self.n_cells = n_cells
-        self.n_terms = len(terms)
-        self.keys = _sorted_unique(keys)
-        rows = np.searchsorted(self.keys, keys).astype(_INDEX)
-        self.matrix = sparse.csc_matrix(
-            (probs, rows, _indptr(sizes)), shape=(self.keys.size + 1, self.n_terms)
-        ).tocsr()
-
-    def products(
-        self, partners: Sequence[tuple[np.ndarray, Sequence[SparseDistribution]]]
-    ) -> np.ndarray:
-        """Eq. 9 for every (term, partner) pair: a dense ``terms × partners`` array.
-
-        Each partner is ``(slots, dists)``, its distributions at those
-        slots.  Entry ``[k, p]`` is the inner product of term ``k`` with
-        partner ``p``'s distribution in the same slot, summed in ascending
-        cell order — 0 when the partner has nothing there (outside its
-        span, Eq. 5 case 3).
-        """
-        if not self.n_terms or not partners:
-            return np.zeros((self.n_terms, len(partners)))
-        keys, probs, sizes = _entries(
-            [d for _slots, dists in partners for d in dists],
-            np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in partners]),
-            self.n_cells,
-        )
-        if self.keys.size == 0 or keys.size == 0:
-            return np.zeros((self.n_terms, len(partners)))
-        cols = np.searchsorted(self.keys, keys).astype(_INDEX)
-        cols[self.keys[np.minimum(cols, self.keys.size - 1)] != keys] = self.keys.size
-        # Partner p's row holds its distributions' entries, contiguous and,
-        # within a slot, in ascending cell order.  scipy accumulates each
-        # output entry in the left row's stored order, and a term occupies
-        # a single slot, so every term adds its products by ascending cell.
-        indptr = _indptr(sizes)[_indptr(np.array([len(d) for _s, d in partners]))]
-        left = sparse.csr_matrix((probs, cols, indptr), shape=(len(partners), self.keys.size + 1))
-        return (left @ self.matrix).toarray().T
-
-
 def colocation_terms(
     terms: Sequence[SparseDistribution],
     term_slots: np.ndarray,
@@ -176,10 +125,44 @@ def colocation_terms(
 ) -> np.ndarray:
     """Eq. 9 for every (term, partner) pair, as one sparse product.
 
-    ``terms[k]`` is a distribution in slot ``term_slots[k]``; see
-    :meth:`TermMatrix.products` for the partners and the result.
+    ``terms[k]`` is a distribution in slot ``term_slots[k]`` (a timestamp
+    index); each partner is ``(slots, dists)``, its distributions at those
+    slots.  Entry ``[k, p]`` of the dense ``len(terms) × len(partners)``
+    result is the inner product of ``terms[k]`` with partner ``p``'s
+    distribution in the same slot, summed in ascending cell order — 0 when
+    the partner has nothing there (outside its span, Eq. 5 case 3).
+
+    Entries sit at keys ``slot * n_cells + cell``.  Only keys some term
+    holds can contribute, so the columns are the terms' distinct keys,
+    ascending, plus one spare column that no term reads for every partner
+    entry on another key: the operands stay ``O(nnz)`` rather than
+    ``O(slots · cells)``.
     """
-    return TermMatrix(terms, term_slots, n_cells).products(partners)
+    out_shape = (len(terms), len(partners))
+    if not terms or not partners:
+        return np.zeros(out_shape)
+    term_keys, term_probs, term_sizes = _entries(terms, term_slots, n_cells)
+    keys, probs, sizes = _entries(
+        [d for _slots, dists in partners for d in dists],
+        np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in partners]),
+        n_cells,
+    )
+    if term_keys.size == 0 or keys.size == 0:
+        return np.zeros(out_shape)
+    columns = _sorted_unique(term_keys)
+    cols = np.searchsorted(columns, keys).astype(_INDEX)
+    cols[columns[np.minimum(cols, columns.size - 1)] != keys] = columns.size
+    # Partner p's row holds its distributions' entries, contiguous and,
+    # within a slot, in ascending cell order.  scipy accumulates each
+    # output entry in the left row's stored order, and a term occupies a
+    # single slot, so every term adds its products by ascending cell.
+    indptr = _indptr(sizes)[_indptr(np.array([len(d) for _s, d in partners]))]
+    left = sparse.csr_matrix((probs, cols, indptr), shape=(len(partners), columns.size + 1))
+    right = sparse.csc_matrix(
+        (term_probs, np.searchsorted(columns, term_keys).astype(_INDEX), _indptr(term_sizes)),
+        shape=(columns.size + 1, len(terms)),
+    )
+    return (left @ right).toarray().T
 
 
 def term_sums(products: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -237,20 +220,9 @@ class BlockSide:
     partners: list
 
     def sums(self, n_cells: int) -> np.ndarray:
-        """``[i, p]`` = Σ over trajectory ``i``'s terms of CP with partner ``p``.
-
-        Partners are multiplied in slices of at most
-        :data:`SCRATCH_ENTRIES` ``// terms``, so the dense products stay
-        bounded however wide the block is; a term's value does not depend
-        on the slice it is computed in.
-        """
-        out = np.empty((self.counts.size, len(self.partners)))
-        matrix = TermMatrix(self.terms, self.slots, n_cells)
-        step = max(1, SCRATCH_ENTRIES // max(1, len(self.terms)))
-        for lo in range(0, len(self.partners), step):
-            products = matrix.products(self.partners[lo:lo + step])
-            out[:, lo:lo + step] = term_sums(products, self.counts)
-        return out
+        """``[i, p]`` = Σ over trajectory ``i``'s terms of CP with partner ``p``."""
+        products = colocation_terms(self.terms, self.slots, self.partners, n_cells)
+        return term_sums(products, self.counts)
 
 
 def _resolve(
@@ -332,3 +304,60 @@ def score_sides(row_side: BlockSide, col_side: BlockSide | None, n_cells: int) -
         row_side.counts.astype(float)[:, None],
         col_side.counts.astype(float)[None, :],
     )
+
+
+def _cut(lengths: Sequence[int], fits: Callable[[int, int], bool]) -> list[slice]:
+    """Contiguous groups of ``lengths``, each grown while ``fits(terms, count)``.
+
+    Every group holds at least one trajectory.
+    """
+    groups, start, terms = [], 0, 0
+    for i, length in enumerate(lengths):
+        if i > start and not fits(terms + length, i + 1 - start):
+            groups.append(slice(start, i))
+            start, terms = i, 0
+        terms += length
+    if lengths:
+        groups.append(slice(start, len(lengths)))
+    return groups
+
+
+def plan_sub_blocks(
+    row_lengths: Sequence[int], col_lengths: Sequence[int] | None = None
+) -> list[tuple[slice, slice | None]]:
+    """Cut a block into sub-blocks of at most :data:`SUB_BLOCK_PRODUCTS`.
+
+    A sub-block of row trajectories ``R`` and column trajectories ``C``
+    computes ``terms(R) · |C| + terms(C) · |R|`` products (a trajectory
+    has one term per point) and resolves at most that many partner
+    distributions.  Returns ``(rows, cols)`` slices covering the block.
+    For a self block (``col_lengths=None``) the diagonal sub-blocks have
+    ``cols=None`` and each off-diagonal one appears once, rows before
+    columns; its mirror image is its transpose.  Entries do not depend on
+    the block they are computed in, so the plan changes no score.
+    """
+    budget = SUB_BLOCK_PRODUCTS
+    if col_lengths is None:
+        groups = _cut(row_lengths, lambda terms, count: 2 * terms * count <= budget)
+        plan: list[tuple[slice, slice | None]] = [(g, None) for g in groups]
+        for a, rows in enumerate(groups):
+            for cols in groups[a + 1:]:
+                plan += [
+                    (slice(rows.start + r.start, rows.start + r.stop),
+                     slice(cols.start + c.start, cols.start + c.stop))
+                    for r, c in plan_sub_blocks(row_lengths[rows], row_lengths[cols])
+                ]
+        return plan
+    widest = max(col_lengths, default=0)
+    plan = []
+    for rows in _cut(row_lengths, lambda terms, count: terms + count * widest <= budget):
+        row_terms, n_rows = sum(row_lengths[rows]), rows.stop - rows.start
+        plan += [
+            (rows, cols)
+            for cols in _cut(
+                col_lengths,
+                lambda terms, count: row_terms * count + terms * n_rows <= budget,
+            )
+        ]
+    return plan
+

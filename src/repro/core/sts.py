@@ -29,7 +29,7 @@ from ..obs import get_registry, trace_span
 from .cache import LRUCache
 from .colocation import colocation_batch
 from .grid import Grid
-from .kernel import resolve_block, score_sides
+from .kernel import plan_sub_blocks, resolve_block, score_sides
 from .noise import DeterministicNoiseModel, GaussianNoiseModel, NoiseModel
 from .speed import GaussianSpeedModel, KDESpeedModel
 from .stprob import TrajectorySTP
@@ -278,29 +278,41 @@ class STS:
         rows: Sequence[Trajectory],
         cols: Sequence[Trajectory] | None = None,
     ) -> np.ndarray:
-        """Eq. 10 for every pair of a ``rows × cols`` block, in one kernel call.
+        """Eq. 10 for every pair of a ``rows × cols`` block, through the block kernel.
 
         ``S[i, j] = STS(rows[i], cols[j])``; ``cols=None`` scores ``rows``
         against themselves (a bitwise-symmetric matrix).  Resolution, the
         two sparse products and the reduction are those of
         :mod:`repro.core.kernel`; every entry equals the 1×1 call on its
-        pair bitwise.  Wide blocks are multiplied in slices of partners
-        (:data:`repro.core.kernel.SCRATCH_ENTRIES`), so the scratch grows
-        with the block's terms and partners, not with their product.  The
-        similarity-call counter grows by the number of distinct pairs
-        scored.
+        pair bitwise.  Large blocks run as the sub-blocks of
+        :func:`repro.core.kernel.plan_sub_blocks`, so the working set
+        stays bounded however large the block is.  The similarity-call
+        counter grows by the number of distinct pairs scored.
         """
         rows = list(rows)
         cols = None if cols is None else list(cols)
-        with trace_span("sts.block", rows=len(rows), cols=len(rows if cols is None else cols)):
-            t0 = perf_counter()
-            with trace_span("sts.resolve"):
-                row_side, col_side = resolve_block(self.stp_for, rows, cols)
-            t1 = perf_counter()
-            with trace_span("sts.multiply"):
-                out = score_sides(row_side, col_side, self.grid.n_cells)
-            self._t_prewarm.inc(t1 - t0)
-            self._t_pairloop.inc(perf_counter() - t1)
+        gallery = rows if cols is None else cols
+        out = np.empty((len(rows), len(gallery)))
+        plan = plan_sub_blocks(
+            [len(t) for t in rows], None if cols is None else [len(t) for t in cols]
+        )
+        with trace_span("sts.block", rows=len(rows), cols=len(gallery)):
+            for sub_rows, sub_cols in plan:
+                t0 = perf_counter()
+                with trace_span("sts.resolve"):
+                    row_side, col_side = resolve_block(
+                        self.stp_for,
+                        rows[sub_rows],
+                        None if sub_cols is None else gallery[sub_cols],
+                    )
+                t1 = perf_counter()
+                with trace_span("sts.multiply"):
+                    scores = score_sides(row_side, col_side, self.grid.n_cells)
+                self._t_prewarm.inc(t1 - t0)
+                self._t_pairloop.inc(perf_counter() - t1)
+                out[sub_rows, sub_rows if sub_cols is None else sub_cols] = scores
+                if cols is None and sub_cols is not None:
+                    out[sub_cols, sub_rows] = scores.T
         n = len(rows)
         self._m_calls.inc(n * (n + 1) // 2 if cols is None else out.size)
         return out

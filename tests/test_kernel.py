@@ -4,11 +4,13 @@
 tests pin the properties every path relies on: an entry is bitwise the
 same from a 1×1 call, any sub-block, the full matrix or the transposed
 orientation; a self block is bitwise symmetric; the reduction adds each
-trajectory's terms sequentially in timestamp order; and resolution reads
-a trajectory only at the timestamps its partners' terms need.
+trajectory's terms sequentially in timestamp order; resolution reads a
+trajectory only at the timestamps its partners' terms need; and a
+block's working set stays bounded, by sub-blocks, however large it is.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,13 +190,67 @@ class TestScratch:
                 tracemalloc.stop()
         assert peaks[800] < 1.5 * 8 * peaks[100], peaks
 
-    def test_partner_slices_leave_every_entry_unchanged(self, monkeypatch):
+    def test_sub_blocks_bound_a_self_block_working_set(self, monkeypatch):
+        """Resolution of a self block holds one sub-block at a time."""
+        rng = np.random.default_rng(5)
+        corpus = []
+        for k in range(24):  # overlapping spans: each is read at ~all 96 times
+            ts = np.sort(rng.uniform(0.0, 60.0, 4))
+            xs = np.clip(4.0 + rng.normal(0, 1.0, 4), 0.5, 39.5)
+            ys = np.clip(10.0 + rng.normal(0, 2.0, 4), 0.5, 19.5)
+            corpus.append(Trajectory.from_arrays(xs, ys, ts, object_id=f"w{k}"))
+        peaks, blocks = {}, {}
+        for budget in (kernel.SUB_BLOCK_PRODUCTS, 128):
+            monkeypatch.setattr(kernel, "SUB_BLOCK_PRODUCTS", budget)
+            measure = STS(GRID, stp_cache_size=0)  # no results outlive a sub-block
+            tracemalloc.start()
+            try:
+                blocks[budget] = measure.similarity_block(corpus)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        whole, cut = peaks.values()
+        assert cut < whole / 3, peaks
+        np.testing.assert_array_equal(*blocks.values())
+
+    def test_sub_blocks_leave_every_entry_unchanged(self, full, monkeypatch):
+        monkeypatch.setattr(kernel, "SUB_BLOCK_PRODUCTS", 40)
+        assert len(kernel.plan_sub_blocks([len(t) for t in CORPUS])) > len(CORPUS)
         measure = STS(GRID)
-        rows, cols = CORPUS[:4], CORPUS[2:]
-        expected = (measure.similarity_block(CORPUS), measure.similarity_block(rows, cols))
-        monkeypatch.setattr(kernel, "SCRATCH_ENTRIES", 7)
-        np.testing.assert_array_equal(measure.similarity_block(CORPUS), expected[0])
-        np.testing.assert_array_equal(measure.similarity_block(rows, cols), expected[1])
+        np.testing.assert_array_equal(measure.similarity_block(CORPUS), full)
+        np.testing.assert_array_equal(
+            measure.similarity_block(CORPUS[:4], CORPUS[2:]), full[:4, 2:]
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(st.integers(1, 30), max_size=12),
+        cols=st.one_of(st.none(), st.lists(st.integers(1, 30), max_size=12)),
+        budget=st.integers(1, 400),
+    )
+    def test_plan_covers_every_pair_once_within_budget(self, rows, cols, budget):
+        with mock.patch.object(kernel, "SUB_BLOCK_PRODUCTS", budget):
+            plan = kernel.plan_sub_blocks(rows, cols)
+        c_lens = rows if cols is None else cols
+        seen = []
+        for r, c in plan:
+            r_ids = list(range(len(rows)))[r]
+            c_ids = r_ids if c is None else list(range(len(c_lens)))[c]
+            cost = (
+                sum(rows[i] for i in r_ids) * len(c_ids)
+                + sum(c_lens[j] for j in c_ids) * len(r_ids)
+            )
+            assert cost <= budget or len(r_ids) == len(c_ids) == 1
+            if c is None:
+                seen += [(i, j) for i in r_ids for j in r_ids if i <= j]
+            else:
+                assert cols is not None or r_ids[-1] < c_ids[0]  # rows before columns
+                seen += [(i, j) for i in r_ids for j in c_ids]
+        if cols is None:
+            expected = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
+        else:
+            expected = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
+        assert sorted(seen) == sorted(expected)
 
 
 class TestResolution:
