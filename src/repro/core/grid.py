@@ -18,6 +18,10 @@ import numpy as np
 
 __all__ = ["Grid"]
 
+#: Most candidate-window cells :meth:`Grid.cells_within_many` evaluates in
+#: one pass (its distance and mask scratch stay near 1 MiB).
+WINDOW_CELLS = 1 << 17
+
 
 class Grid:
     """A uniform square grid over a rectangular bounding box.
@@ -179,6 +183,52 @@ class Grid:
         mask = dist2 <= radius * radius
         rr, cc = np.nonzero(mask)
         return np.sort((rows[rr] * self.n_cols + cols[cc]).astype(int))
+
+    def cells_within_many(
+        self, xs: np.ndarray, ys: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cells_within` for every point ``(xs[i], ys[i])`` at once.
+
+        Returns ``(owners, cells)``: ``cells[k]`` lies within ``radius`` of
+        point ``owners[k]``.  Owners ascend, and each point's cells are
+        exactly :meth:`cells_within`'s, in its order.  The candidate
+        windows of all points are evaluated together, at most
+        :data:`WINDOW_CELLS` window cells per pass.
+        """
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
+        xs = np.asarray(xs, dtype=float).ravel()
+        ys = np.asarray(ys, dtype=float).ravel()
+        cs = self.cell_size
+
+        def bound(v, lo, hi):
+            return np.minimum(np.maximum(v, lo), hi).astype(np.int64)
+
+        # The per-point bounds of cells_within; clipping to one past either
+        # edge keeps an empty window empty.
+        lo_c = bound((xs - radius - self.min_x) // cs, 0, self.n_cols)
+        hi_c = bound((xs + radius - self.min_x) // cs, -1, self.n_cols - 1)
+        lo_r = bound((ys - radius - self.min_y) // cs, 0, self.n_rows)
+        hi_r = bound((ys + radius - self.min_y) // cs, -1, self.n_rows - 1)
+        width = int((hi_c - lo_c).max(initial=0)) + 1
+        height = int((hi_r - lo_r).max(initial=0)) + 1
+        step = max(1, WINDOW_CELLS // (width * height))
+        owners, cells = [], []
+        for start in range(0, xs.size, step):
+            part = slice(start, start + step)
+            cols = lo_c[part, None] + np.arange(width)
+            rows = lo_r[part, None] + np.arange(height)
+            dx2 = (self.min_x + (cols + 0.5) * cs - xs[part, None]) ** 2
+            dy2 = (self.min_y + (rows + 0.5) * cs - ys[part, None]) ** 2
+            mask = dx2[:, None, :] + dy2[:, :, None] <= radius * radius
+            mask &= (cols <= hi_c[part, None])[:, None, :]
+            mask &= (rows <= hi_r[part, None])[:, :, None]
+            pp, rr, cc = np.nonzero(mask)
+            owners.append(pp + start)
+            cells.append(rows[pp, rr] * self.n_cols + cols[pp, cc])
+        if not owners:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(owners), np.concatenate(cells)
 
     def distances_from(self, x: float, y: float, cells: Iterable[int] | None = None) -> np.ndarray:
         """Euclidean distances from ``(x, y)`` to cell centers.

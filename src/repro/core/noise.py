@@ -10,8 +10,11 @@ an isotropic Gaussian on the distance between ``ℓ`` and the cell center.
 Every model exposes two evaluation modes:
 
 * :meth:`NoiseModel.cell_distribution` — sparse/truncated support (the cells
-  where the probability is non-negligible), which the default pruned STS
-  evaluation uses;
+  where the probability is non-negligible), which every STP mode uses;
+  :meth:`NoiseModel.cell_distributions` evaluates it for a whole
+  trajectory in one vectorized pass (candidate windows, radius mask and
+  distances of all observations together), bitwise equal to the
+  per-point call, which stays the reference;
 * :meth:`NoiseModel.dense_distribution` — the full ``|R|``-vector, used by
   the exact mode and by tests that verify pruning is faithful.
 
@@ -45,7 +48,11 @@ class NoiseModel(ABC):
 
     @abstractmethod
     def _weight(self, distances: np.ndarray) -> np.ndarray:
-        """Unnormalized density at cell centers at the given distances."""
+        """Unnormalized density at cell centers at the given distances.
+
+        Elementwise: :meth:`cell_distributions` passes the distances of
+        many observations in one array.
+        """
 
     # ------------------------------------------------------------------
     def cell_distribution(self, grid: Grid, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +76,46 @@ class NoiseModel(ABC):
             cells = np.array([grid.cell_of(x, y)], dtype=int)
             return cells, np.ones(1)
         return cells, weights / total
+
+    def cell_distributions(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`cell_distribution` at every ``(xs[i], ys[i])``, in one pass.
+
+        The candidate windows, the radius mask and the distances of all
+        points are computed together, and :meth:`_weight` sees every
+        distance at once, so it must be elementwise (a model whose weights
+        depend on a point's whole support overrides this method, as
+        :class:`DeterministicNoiseModel` does).  Each point is normalized
+        by summing only its own cells, in ascending order, so every result
+        is bitwise ``cell_distribution(grid, x, y)``.
+        """
+        xs = np.asarray(xs, dtype=float).ravel()
+        ys = np.asarray(ys, dtype=float).ravel()
+        owners, cells = grid.cells_within_many(xs, ys, self.support_radius(grid))
+        counts = np.bincount(owners, minlength=xs.size)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # No cell centre within the radius: the containing cell alone.
+            owned = grid.cells_of(np.column_stack([xs[empty], ys[empty]]))
+            order = np.argsort(np.concatenate([owners, empty]), kind="stable")
+            owners = np.concatenate([owners, empty])[order]
+            cells = np.concatenate([cells, owned])[order]
+            counts[empty] = 1
+        centers = grid.centers()[cells]
+        weights = self._weight(np.hypot(centers[:, 0] - xs[owners], centers[:, 1] - ys[owners]))
+        out = []
+        start = 0
+        for k, stop in enumerate(np.cumsum(counts).tolist()):
+            support = weights[start:stop]
+            total = support.sum()
+            if total <= 0 or not math.isfinite(total):
+                cell = grid.cell_of(float(xs[k]), float(ys[k]))
+                out.append((np.array([cell], dtype=int), np.ones(1)))
+            else:
+                out.append((cells[start:stop], support / total))
+            start = stop
+        return out
 
     def dense_distribution(self, grid: Grid, x: float, y: float) -> np.ndarray:
         """Full ``|R|``-vector distribution (normalized), for exact mode."""
@@ -153,6 +200,11 @@ class DeterministicNoiseModel(NoiseModel):
     def cell_distribution(self, grid: Grid, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
         cell = grid.cell_of(x, y)
         return np.array([cell], dtype=int), np.ones(1)
+
+    def cell_distributions(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [self.cell_distribution(grid, x, y) for x, y in zip(xs, ys)]
 
     def dense_distribution(self, grid: Grid, x: float, y: float) -> np.ndarray:
         dense = np.zeros(grid.n_cells)

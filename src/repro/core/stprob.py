@@ -32,23 +32,29 @@ The test suite verifies all modes agree to tight tolerance.
 
 Batched evaluation
 ------------------
-:meth:`TrajectorySTP.stp_batch` evaluates many query times in one call.
-Queries are grouped by the pair of observations bracketing them, and each
-group is evaluated in a single vectorized pass:
+:meth:`TrajectorySTP.stp_batch` resolves a whole call at once.  One
+``searchsorted`` against the trajectory's timestamps classifies every
+query time: outside the span (zero everywhere), on an observation (that
+observation's noise distribution, computed for all observations in one
+:meth:`~repro.core.noise.NoiseModel.cell_distributions` pass when the
+estimator is built) or bridged by the segment ``lo`` it falls in.  Only
+distinct bridged times consult the result cache, and the misses are
+evaluated together, across segments:
 
-* FFT mode embeds every transition kernel onto one fixed per-estimator
-  canvas (sized for the trajectory's largest observation gap), so each
-  noise plane's forward FFT is computed once and reused by a *stack* of
-  kernel transforms (one batched ``rfft2``/``irfft2`` round-trip per
-  group);
-* pruned/dense mode builds the candidate set union and both distance
-  matrices once per segment and slices them per query.
+* FFT mode embeds each query's forward and backward kernel on one fixed
+  per-estimator canvas (sized for the trajectory's largest observation
+  gap) and runs one stacked ``rfft2``/``irfft2`` round trip per chunk of
+  queries, multiplying by each observation's cached noise-plane spectrum
+  in between.  :data:`FFT_CHUNK_BYTES` bounds a chunk's scratch, so a
+  call's working set does not grow with its number of queries;
+* pruned/dense mode evaluates each segment's queries in one pass that
+  builds the candidate set union and both distance matrices once.
 
-Both single-query paths delegate to the same batched cores, so ``stp(t)``
-and ``stp_batch([.., t, ..])`` return identical results.  Kernels, noise
-planes and their transforms are memoized in bounded LRU caches (see
-``cache_size``), so long-lived estimators serving many queries stay fast
-without growing memory unboundedly.
+``stp(t)`` is ``stp_batch([t])[0]``.  In FFT mode a query's distribution
+does not depend on the other queries of its call, so the chunking
+changes no result.  Kernels and noise-plane transforms are memoized in bounded LRU caches (see ``cache_size``), so
+long-lived estimators serving many queries stay fast without growing
+memory unboundedly.
 """
 
 from __future__ import annotations
@@ -78,6 +84,12 @@ _EMPTY: SparseDistribution = (np.empty(0, dtype=int), np.empty(0))
 #: Normalized probabilities below this are dropped from sparse results.
 _SPARSE_EPS = 1e-15
 
+#: Scratch bytes one FFT chunk of bridged queries may hold: its kernel
+#: canvases, their spectra and the convolutions.  Each estimator derives
+#: its chunk length from its canvas shape (33 queries on a 30×30
+#: transform with an 11×11 canvas, 6 on a 60×60 one with a 55×55 canvas).
+FFT_CHUNK_BYTES = 1 << 20
+
 
 def _dt_key(dt: float) -> float:
     """Cache key for a time gap: quantized to kill float jitter.
@@ -88,6 +100,12 @@ def _dt_key(dt: float) -> float:
     kernel.
     """
     return round(dt, 12)
+
+
+def _segments(los: np.ndarray) -> list[tuple[int, slice]]:
+    """``(lo, positions)`` for each run of equal values of the sorted ``los``."""
+    bounds = np.flatnonzero(np.diff(los, prepend=-1)).tolist() + [len(los)]
+    return [(int(los[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class TrajectorySTP:
@@ -167,9 +185,10 @@ class TrajectorySTP:
         # Per-observation noise distributions, precomputed once: these are
         # the f(·, ℓ_i) terms every Eq. 4 evaluation reuses.
         t0 = perf_counter()
-        self._observed: list[SparseDistribution] = [
-            noise_model.cell_distribution(grid, p.x, p.y) for p in trajectory
-        ]
+        xy = trajectory.xy
+        self._observed: list[SparseDistribution] = noise_model.cell_distributions(
+            grid, xy[:, 0], xy[:, 1]
+        )
         self._t_noise.inc(perf_counter() - t0)
         self.cache_size = cache_size
         scaled = (lambda frac, floor: None) if cache_size is None else (
@@ -177,7 +196,6 @@ class TrajectorySTP:
         )
         self._cache = LRUCache(cache_size)  # query time -> SparseDistribution
         self._kernel_cache = LRUCache(scaled(8, 64))  # (dt, span) -> kernel
-        self._plane_cache = LRUCache(scaled(16, 16))  # obs index -> dense plane
         self._plane_fft_cache = LRUCache(scaled(16, 16))  # (idx, shape) -> rfft2
         self._segment_cache = LRUCache(scaled(16, 16))  # dense-mode geometry
 
@@ -185,9 +203,10 @@ class TrajectorySTP:
     def _init_obs(self, registry=None) -> None:
         """Bind metric handles once; hot paths then pay one dict-add each.
 
-        ``bridge-interp`` is the inclusive wall time of segment
-        interpolation (Eq. 4); ``kernel-fft`` and ``normalize`` are
-        components within it on the FFT path.
+        ``bridge-interp`` is the inclusive wall time of bridged queries
+        (Eq. 4), taken per FFT chunk or per pruned/dense segment;
+        ``kernel-fft`` and ``normalize`` are components within it on the
+        FFT path.
         """
         reg = registry if registry is not None else get_registry()
         self._registry = reg
@@ -215,7 +234,6 @@ class TrajectorySTP:
         return (
             ("stp-results", self._cache),
             ("stp-kernels", self._kernel_cache),
-            ("stp-planes", self._plane_cache),
             ("stp-plane-ffts", self._plane_fft_cache),
             ("stp-segments", self._segment_cache),
         )
@@ -242,51 +260,41 @@ class TrajectorySTP:
         Returns ``(cells, probs)`` with ``probs`` summing to 1, or two empty
         arrays when ``t`` lies outside the trajectory's time span.
         """
-        t = float(t)
-        cached = self._cache.get(t)
-        if cached is not None:
-            return cached
-        result = self._compute(t)
-        self._cache.put(t, result)
-        return result
+        return self.stp_batch([t])[0]
 
     def stp_batch(self, times) -> list[SparseDistribution]:
         """Eq. 5 at many query times in one vectorized pass.
 
         ``times`` is any 1-D sequence of timestamps (duplicates allowed).
         Returns one :data:`SparseDistribution` per input time, in input
-        order, identical to calling :meth:`stp` per time — but queries that
-        share a bracketing segment are evaluated together, reusing one
-        kernel canvas / candidate union per segment (see module docstring).
+        order, identical to calling :meth:`stp` per time.  Times between
+        observations are looked up in the result cache once per distinct
+        time, and the misses are evaluated together across segments (see
+        the module docstring).
         """
         times_arr = np.asarray(times, dtype=float).ravel()
-        results: list[SparseDistribution | None] = [None] * len(times_arr)
-        by_segment: dict[int, list[int]] = {}
-        traj = self.trajectory
-        for i, raw in enumerate(times_arr):
-            t = float(raw)
-            cached = self._cache.get(t)
-            if cached is not None:
-                results[i] = cached
-                continue
-            if not traj.covers_time(t):
-                results[i] = _EMPTY
-                continue
-            idx = traj.index_of_time(t)
-            if idx is not None:
-                results[i] = self._observed[idx]
-                continue
-            lo, _hi = traj.bracketing_indices(t)  # type: ignore[misc]
-            by_segment.setdefault(lo, []).append(i)
-        for lo, positions in by_segment.items():
-            ts = times_arr[positions]
-            uniq, inverse = np.unique(ts, return_inverse=True)
-            computed = self._segment_batch(lo, lo + 1, uniq)
-            for j, pos in enumerate(positions):
-                result = computed[inverse[j]]
-                results[pos] = result
-                self._cache.put(float(ts[j]), result)
-        return results  # type: ignore[return-value]
+        stamps = self.trajectory.timestamps
+        at = np.searchsorted(stamps, times_arr)
+        inside = (times_arr >= stamps[0]) & (times_arr <= stamps[-1])
+        observed = inside & (stamps[np.minimum(at, stamps.size - 1)] == times_arr)
+        results: list[SparseDistribution] = [_EMPTY] * len(times_arr)
+        for i in np.flatnonzero(observed):
+            results[i] = self._observed[at[i]]
+        bridged = np.flatnonzero(inside & ~observed)
+        if bridged.size == 0:
+            return results
+        uniq, inverse = np.unique(times_arr[bridged], return_inverse=True)
+        resolved = [self._cache.get(float(t)) for t in uniq]
+        missing = [j for j, result in enumerate(resolved) if result is None]
+        if missing:
+            ts = uniq[missing]
+            computed = self._bridge(np.searchsorted(stamps, ts) - 1, ts)
+            for j, result in zip(missing, computed):
+                resolved[j] = result
+                self._cache.put(float(uniq[j]), result)
+        for i, j in zip(bridged, inverse):
+            results[i] = resolved[j]
+        return results
 
     def stp_dense(self, t: float) -> np.ndarray:
         """Eq. 5 as a dense ``|R|``-vector (zeros outside the span)."""
@@ -327,7 +335,6 @@ class TrajectorySTP:
         return {
             "results": self._cache.stats(),
             "kernels": self._kernel_cache.stats(),
-            "planes": self._plane_cache.stats(),
             "plane_ffts": self._plane_fft_cache.stats(),
             "segments": self._segment_cache.stats(),
         }
@@ -336,45 +343,37 @@ class TrajectorySTP:
         """Drop memoized query results (the noise distributions stay)."""
         self._cache.clear()
         self._kernel_cache.clear()
-        self._plane_cache.clear()
         self._plane_fft_cache.clear()
         self._segment_cache.clear()
 
     # ------------------------------------------------------------------
-    def _compute(self, t: float) -> SparseDistribution:
-        traj = self.trajectory
-        if not traj.covers_time(t):
-            return _EMPTY
-        idx = traj.index_of_time(t)
-        if idx is not None:
-            return self._observed[idx]
-        lo, hi = traj.bracketing_indices(t)  # type: ignore[misc]
-        return self._segment_batch(lo, hi, np.array([t]))[0]
-
-    def _segment_batch(self, lo: int, hi: int, ts: np.ndarray) -> list[SparseDistribution]:
-        """All interpolation queries of one segment, in one pass."""
-        t0 = perf_counter()
-        try:
-            if self._resolved_mode == "fft":
-                return self._interpolate_fft_batch(lo, hi, ts)
-            return self._interpolate_pairwise_batch(lo, hi, ts)
-        finally:
+    def _bridge(self, los: np.ndarray, ts: np.ndarray) -> list[SparseDistribution]:
+        """Eq. 4 at sorted times ``ts``, each strictly inside segment ``los``."""
+        results: list[SparseDistribution] = []
+        if self._resolved_mode == "fft":
+            chunk = self._fft_geometry()[3]
+            for start in range(0, len(ts), chunk):
+                part = slice(start, start + chunk)
+                results += self._fft_chunk(los[part], ts[part])
+            return results
+        for lo, group in _segments(los):
+            t0 = perf_counter()
+            results += self._interpolate_pairwise_batch(lo, ts[group])
             self._t_bridge.inc(perf_counter() - t0)
+        return results
 
     # ------------------------------------------------------------------
     # Pairwise evaluation (pruned / dense)
     # ------------------------------------------------------------------
-    def _interpolate_pairwise_batch(
-        self, lo: int, hi: int, ts: np.ndarray
-    ) -> list[SparseDistribution]:
-        """Eq. 4 by explicit summation over candidate cells.
+    def _interpolate_pairwise_batch(self, lo: int, ts: np.ndarray) -> list[SparseDistribution]:
+        """Eq. 4 by explicit summation over candidate cells, for segment ``lo``.
 
         The candidate union and (for isotropic models) both distance
         matrices are built once for the whole segment; each query then only
         evaluates the transition kernel on its slice.
         """
-        traj = self.trajectory
-        p_lo, p_hi = traj[lo], traj[hi]
+        hi = lo + 1
+        p_lo, p_hi = self.trajectory[lo], self.trajectory[hi]
         dts1 = ts - p_lo.t
         dts2 = p_hi.t - ts
         candidate_sets = [
@@ -414,7 +413,7 @@ class TrajectorySTP:
             unnorm = forward * backward
             total = float(unnorm.sum())
             if total <= 0.0 or not np.isfinite(total):
-                results.append(self._fallback(float(ts[i]), p_lo, p_hi))
+                results.append(self._fallback(float(ts[i]), lo))
             else:
                 results.append(self._sparsify(candidates, unnorm / total))
         return results
@@ -474,66 +473,22 @@ class TrajectorySTP:
     # ------------------------------------------------------------------
     # FFT-convolution evaluation (isotropic transition models)
     # ------------------------------------------------------------------
-    def _interpolate_fft_batch(
-        self, lo: int, hi: int, ts: np.ndarray
-    ) -> list[SparseDistribution]:
-        """Eq. 4 via 2-D convolution over the grid lattice.
+    def _fft_chunk(self, los: np.ndarray, ts: np.ndarray) -> list[SparseDistribution]:
+        """Eq. 4 via 2-D convolution over the grid lattice, for one chunk.
 
         With an isotropic transition model, ``forward = f_lo ⊛ K_{dt1}``
         and ``backward = f_hi ⊛ K_{dt2}`` where ``K_dt`` is the radial
         kernel of transition weights between cell offsets.  Equivalent to
         the dense mode up to FFT round-off.
 
-        Kernel canvases are *bucketed*: each query's kernel is drawn on the
-        smallest canvas from a geometric size series covering its own
-        transition radius, so kernels are cheap to build and cacheable,
-        while each query's canvas depends only on its own ``dt`` — which
-        keeps single-query and batched evaluation bitwise identical.  All
-        kernels of a batch are then embedded on the estimator's fixed
-        convolution canvas and transformed as one stack (see
-        :meth:`_convolved_planes`).
-        """
-        traj = self.trajectory
-        p_lo, p_hi = traj[lo], traj[hi]
-        dts1 = ts - p_lo.t
-        dts2 = p_hi.t - ts
-        t0 = perf_counter()
-        forward = self._convolved_planes(lo, dts1)
-        backward = self._convolved_planes(hi, dts2)
-        t1 = perf_counter()
-        self._t_kernel.inc(t1 - t0)
-        results: list[SparseDistribution] = []
-        for i in range(len(ts)):
-            unnorm = (forward[i] * backward[i]).ravel()
-            np.clip(unnorm, 0.0, None, out=unnorm)
-            total = float(unnorm.sum())
-            if total <= 0.0 or not np.isfinite(total):
-                results.append(self._fallback(float(ts[i]), p_lo, p_hi))
-                continue
-            probs = unnorm / total
-            cells = np.nonzero(probs > _SPARSE_EPS)[0]
-            if cells.size == 0:
-                results.append(self._fallback(float(ts[i]), p_lo, p_hi))
-                continue
-            kept = probs[cells]
-            results.append((cells, kept / kept.sum()))
-        self._t_norm.inc(perf_counter() - t1)
-        return results
-
-    def _convolved_planes(self, index: int, dts: np.ndarray) -> np.ndarray:
-        """Noise plane ``index`` convolved with the kernel of each ``dt``.
-
-        Returns a ``(len(dts), n_rows, n_cols)`` stack (the "same"-mode
-        convolution window).  Queries are grouped by kernel-canvas bucket;
-        each group multiplies the cached plane FFT by one stacked kernel
-        transform.
-
-        Every kernel is embedded (centered) on one fixed per-estimator
-        canvas sized for the trajectory's *largest* inter-observation gap —
-        the largest ``dt`` any in-segment query can present — so a *single*
-        circular transform shape serves every query: each noise plane's
-        forward FFT is computed exactly once per estimator, and a whole
-        batch becomes one stacked ``rfft2``/``irfft2`` round-trip.
+        Each kernel is drawn on the smallest canvas from a geometric size
+        series covering its own transition radius (so it depends only on
+        its own ``dt`` and is cacheable), then embedded, centered, on the
+        estimator's fixed convolution canvas (see :meth:`_fft_geometry`).
+        The chunk's forward kernels (plane ``lo``) and backward kernels
+        (plane ``lo + 1``) take one stacked ``rfft2``; each segment's run
+        of spectra is multiplied by its noise-plane spectrum, and one
+        ``irfft2`` returns every convolution.
 
         The circular transforms are sized ``n + half`` per axis, not the
         full linear-convolution length ``n + 2·half``: the full convolution
@@ -545,57 +500,99 @@ class TrajectorySTP:
         alias-free while the transforms stay at ~``2n`` instead of ~``3n``
         per axis.
         """
-        grid = self.grid
-        n_rows, n_cols = grid.n_rows, grid.n_cols
-        model = self.transition_model
-        cell = grid.cell_size
-        radii = np.array([model.reachable_radius(float(d)) for d in dts])
-        spans = np.ceil(radii / cell).astype(np.int64) + 1
-        series = self._span_buckets()
-        buckets = series[np.minimum(np.searchsorted(series, spans), series.size - 1)]
-        rows_halves = np.minimum(n_rows - 1, buckets)
-        cols_halves = np.minimum(n_cols - 1, buckets)
-        half_r, half_c, fft_shape = self._fft_geometry()
-        plane_fft = self._plane_fft(index, fft_shape)
-        stack = np.zeros((len(dts), 2 * half_r + 1, 2 * half_c + 1))
-        for i in range(len(dts)):
+        t0 = perf_counter()
+        stamps = self.trajectory.timestamps
+        n_rows, n_cols = self.grid.n_rows, self.grid.n_cols
+        half_r, half_c, fft_shape, _ = self._fft_geometry()
+        q = len(ts)
+        dts = np.concatenate([ts - stamps[los], stamps[los + 1] - ts])
+        rows_halves, cols_halves = self._kernel_halves(dts)
+        stack = np.zeros((2 * q, 2 * half_r + 1, 2 * half_c + 1))
+        for i in range(2 * q):
             h_r, h_c = int(rows_halves[i]), int(cols_halves[i])
             kernel = self._radial_kernel(float(dts[i]), h_r, h_c)
             stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernel
-        conv = _fft.irfft2(_fft.rfft2(stack, s=fft_shape) * plane_fft, s=fft_shape)
-        return conv[:, half_r : half_r + n_rows, half_c : half_c + n_cols]
+        spectra = _fft.rfft2(stack, s=fft_shape)
+        del stack
+        planes = self._plane_spectra(np.union1d(los, los + 1).tolist(), fft_shape)
+        for lo, group in _segments(los):
+            # The kernel spectrum is the left operand, one plane per run,
+            # so every product is bitwise the same whatever the chunk.
+            spectra[group] *= planes[lo]
+            spectra[q + group.start : q + group.stop] *= planes[lo + 1]
+        conv = _fft.irfft2(spectra, s=fft_shape)[
+            :, half_r : half_r + n_rows, half_c : half_c + n_cols
+        ]
+        del spectra
+        t1 = perf_counter()
+        self._t_kernel.inc(t1 - t0)
+        results: list[SparseDistribution] = []
+        for i in range(q):
+            unnorm = (conv[i] * conv[q + i]).ravel()
+            np.clip(unnorm, 0.0, None, out=unnorm)
+            total = float(unnorm.sum())
+            if total <= 0.0 or not np.isfinite(total):
+                results.append(self._fallback(float(ts[i]), int(los[i])))
+                continue
+            probs = unnorm / total
+            cells = np.nonzero(probs > _SPARSE_EPS)[0]
+            if cells.size == 0:
+                results.append(self._fallback(float(ts[i]), int(los[i])))
+                continue
+            kept = probs[cells]
+            results.append((cells, kept / kept.sum()))
+        t2 = perf_counter()
+        self._t_norm.inc(t2 - t1)
+        self._t_bridge.inc(t2 - t0)
+        return results
 
-    def _fft_geometry(self) -> tuple[int, int, tuple[int, int]]:
-        """Fixed canvas half-extents and circular-transform shape.
+    def _fft_geometry(self) -> tuple[int, int, tuple[int, int], int]:
+        """Fixed canvas half-extents, circular-transform shape, chunk length.
 
         The canvas is sized for the transition radius of the trajectory's
         largest gap between consecutive observations — no in-segment query
         can have a larger ``dt``, so every kernel fits (clipped to the grid,
-        like everything else, at worst).
+        like everything else, at worst).  A chunk of queries holds two
+        kernel canvases, their spectra and their convolutions per query
+        within :data:`FFT_CHUNK_BYTES`.
         """
         geom = getattr(self, "_fft_geometry_cached", None)
         if geom is None:
             grid = self.grid
             gaps = np.diff(self.trajectory.timestamps)
-            max_gap = float(gaps.max()) if gaps.size else 0.0
-            radius = self.transition_model.reachable_radius(max_gap)
-            span = int(np.ceil(radius / grid.cell_size)) + 1
-            series = self._span_buckets()
-            bucket = int(series[min(int(np.searchsorted(series, span)), series.size - 1)])
-            half_r = min(grid.n_rows - 1, bucket)
-            half_c = min(grid.n_cols - 1, bucket)
-            geom = self._fft_geometry_cached = (
-                half_r,
-                half_c,
-                (
-                    _fft.next_fast_len(grid.n_rows + half_r, True),
-                    _fft.next_fast_len(grid.n_cols + half_c, True),
-                ),
+            rows_halves, cols_halves = self._kernel_halves(
+                np.array([gaps.max() if gaps.size else 0.0])
             )
+            half_r, half_c = int(rows_halves[0]), int(cols_halves[0])
+            fft_shape = (
+                _fft.next_fast_len(grid.n_rows + half_r, True),
+                _fft.next_fast_len(grid.n_cols + half_c, True),
+            )
+            per_kernel = (
+                8 * (2 * half_r + 1) * (2 * half_c + 1)
+                + 16 * fft_shape[0] * (fft_shape[1] // 2 + 1)
+                + 8 * fft_shape[0] * fft_shape[1]
+            )
+            chunk = max(1, FFT_CHUNK_BYTES // (2 * per_kernel))
+            geom = self._fft_geometry_cached = (half_r, half_c, fft_shape, chunk)
         return geom
 
+    def _kernel_halves(self, dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel-canvas half-extents (rows, cols) covering each ``dt``.
+
+        The natural half-extent (transition radius in cells, plus one) is
+        rounded up to the geometric bucket series of :meth:`_span_buckets`,
+        so only a handful of kernel shapes exist per grid.
+        """
+        grid = self.grid
+        radii = np.array([self.transition_model.reachable_radius(float(d)) for d in dts])
+        spans = np.ceil(radii / grid.cell_size).astype(np.int64) + 1
+        series = self._span_buckets()
+        buckets = series[np.minimum(np.searchsorted(series, spans), series.size - 1)]
+        return np.minimum(grid.n_rows - 1, buckets), np.minimum(grid.n_cols - 1, buckets)
+
     def _span_buckets(self) -> np.ndarray:
-        """Ascending canvas-size bucket series covering the grid."""
+        """Ascending canvas-size bucket series (1, 2, 3, 5, 8, 12, ...) covering the grid."""
         series = getattr(self, "_span_bucket_series", None)
         if series is None:
             top = max(self.grid.n_rows, self.grid.n_cols)
@@ -605,40 +602,35 @@ class TrajectorySTP:
             series = self._span_bucket_series = np.array(vals, dtype=np.int64)
         return series
 
-    def _kernel_span(self, radius: float) -> tuple[int, int]:
-        """Half-extent (rows, cols) of the kernel canvas covering ``radius``.
+    def _plane_spectra(
+        self, indices: list[int], fft_shape: tuple[int, int]
+    ) -> dict[int, np.ndarray]:
+        """Forward real FFTs of the noise planes of observations ``indices``.
 
-        The natural half-extent is rounded up to a geometric bucket series
-        (1, 2, 3, 5, 8, 12, ...) so that only a handful of distinct canvas
-        shapes — and therefore cached plane FFTs — exist per grid.
+        Cached per observation; the missing planes are drawn on one stack
+        and transformed in one call.
         """
-        grid = self.grid
-        span = int(np.ceil(radius / grid.cell_size)) + 1
-        series = self._span_buckets()
-        bucket = int(series[min(int(np.searchsorted(series, span)), series.size - 1)])
-        return min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
-
-    def _dense_plane(self, index: int) -> np.ndarray:
-        """Observation ``index``'s noise distribution as a 2-D grid plane."""
-
-        def build() -> np.ndarray:
-            cells, probs = self._observed[index]
-            plane = np.zeros((self.grid.n_rows, self.grid.n_cols))
-            plane[cells // self.grid.n_cols, cells % self.grid.n_cols] = probs
-            return plane
-
-        return self._plane_cache.get_or_compute(index, build)
-
-    def _plane_fft(self, index: int, fft_shape: tuple[int, int]) -> np.ndarray:
-        """Forward real FFT of observation ``index``'s noise plane."""
-        cached = self._plane_fft_cache.get((index, fft_shape))
-        if cached is not None:
-            self._m_canvas_reuse.inc()
-            return cached
-        value = _fft.rfft2(self._dense_plane(index), s=fft_shape)
-        self._plane_fft_cache.put((index, fft_shape), value)
-        self._m_plane_transforms.inc()
-        return value
+        spectra: dict[int, np.ndarray] = {}
+        missing = []
+        for index in indices:
+            cached = self._plane_fft_cache.get((index, fft_shape))
+            if cached is None:
+                missing.append(index)
+            else:
+                spectra[index] = cached
+        self._m_canvas_reuse.inc(len(spectra))
+        if missing:
+            n_cols = self.grid.n_cols
+            planes = np.zeros((len(missing), self.grid.n_rows, n_cols))
+            for k, index in enumerate(missing):
+                cells, probs = self._observed[index]
+                planes[k, cells // n_cols, cells % n_cols] = probs
+            for index, value in zip(missing, _fft.rfft2(planes, s=fft_shape)):
+                # A copy, so a cached spectrum does not keep its whole stack alive.
+                spectra[index] = value = value.copy()
+                self._plane_fft_cache.put((index, fft_shape), value)
+            self._m_plane_transforms.inc(len(missing))
+        return spectra
 
     def _canvas_lattice(
         self, rows_half: int, cols_half: int
@@ -696,7 +688,7 @@ class TrajectorySTP:
             probs = probs / probs.sum()
         return cells, probs
 
-    def _fallback(self, t: float, p_lo, p_hi) -> SparseDistribution:
+    def _fallback(self, t: float, lo: int) -> SparseDistribution:
         """Numerical-underflow fallback.
 
         When every candidate weight underflows (the object moved far faster
@@ -706,6 +698,7 @@ class TrajectorySTP:
         the two bracketing observations, the least-informative consistent
         answer.
         """
+        p_lo, p_hi = self.trajectory[lo], self.trajectory[lo + 1]
         span = p_hi.t - p_lo.t
         w = (t - p_lo.t) / span if span > 0 else 0.5
         x = p_lo.x + w * (p_hi.x - p_lo.x)

@@ -171,6 +171,7 @@ class Counter:
         self.help = help
         self._lock = threading.Lock()
         self._cells: dict[LabelKey, list] = {}
+        self._children: dict[tuple, BoundCounter] = {}
 
     def _cell(self, key: LabelKey) -> list:
         cell = self._cells.get(key)
@@ -186,8 +187,18 @@ class Counter:
             cell[0] += amount
 
     def child(self, **labels) -> BoundCounter:
-        """A pre-bound handle for hot paths (one lock + cell add per inc)."""
-        return BoundCounter(self._cell(_label_key(labels)), self._lock)
+        """A pre-bound handle for hot paths (one lock + cell add per inc).
+
+        A handle holds only its series' cell and the lock, so handles are
+        shared per label set as passed: every estimator binds its stage
+        timers, and after the first that is one dict lookup each.
+        """
+        key = tuple(labels.items())
+        handle = self._children.get(key)
+        if handle is None:
+            handle = BoundCounter(self._cell(_label_key(labels)), self._lock)
+            self._children[key] = handle
+        return handle
 
     def values(self) -> dict[LabelKey, float]:
         """Current values keyed by canonical label tuple."""

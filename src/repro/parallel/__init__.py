@@ -21,7 +21,6 @@ from .pool import (
     chunk_pairs,
     chunk_pairs_by_cost,
     get_parallel_defaults,
-    pair_costs,
     resolve_n_jobs,
     set_parallel_defaults,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "available_cpus",
     "chunk_pairs",
     "chunk_pairs_by_cost",
-    "pair_costs",
     "resolve_n_jobs",
     "set_parallel_defaults",
     "get_parallel_defaults",

@@ -37,7 +37,6 @@ __all__ = [
     "resolve_n_jobs",
     "chunk_pairs",
     "chunk_pairs_by_cost",
-    "pair_costs",
     "make_executor",
     "set_parallel_defaults",
     "get_parallel_defaults",
@@ -334,22 +333,6 @@ def chunk_pairs(pairs: Sequence, n_workers: int, chunks_per_worker: int = 4) -> 
         return []
     n_chunks = min(len(pairs), max(1, n_workers * chunks_per_worker))
     return [list(pairs[k::n_chunks]) for k in range(n_chunks)]
-
-
-def pair_costs(
-    pairs: Sequence[tuple[int, int]],
-    row_lengths: Sequence[int],
-    col_lengths: Sequence[int],
-) -> list[int]:
-    """Estimated Eq. 10 cost per pair, from trajectory lengths.
-
-    Scoring a pair evaluates both estimators at the union of both
-    timestamp sets and takes grid-sized products, so the work scales
-    with ``|T1| · |T2|`` (each estimator's bridge/kernel work grows with
-    its own length *and* with the partner's query count).  The absolute
-    scale is irrelevant — only the ratios matter for balancing.
-    """
-    return [max(1, row_lengths[i] * col_lengths[j]) for i, j in pairs]
 
 
 def chunk_pairs_by_cost(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import grid as grid_module
 from repro.core.grid import Grid
 
 
@@ -129,6 +130,26 @@ class TestRangeQueries:
     def test_cells_within_sorted(self, small_grid):
         cells = small_grid.cells_within(10.0, 10.0, 6.0)
         assert np.all(np.diff(cells) > 0)
+
+    @pytest.mark.parametrize("window_cells", [1 << 17, 5])
+    def test_cells_within_many_matches_per_point(self, small_grid, rng, monkeypatch, window_cells):
+        # A tiny window budget forces one point per pass.
+        monkeypatch.setattr(grid_module, "WINDOW_CELLS", window_cells)
+        xs = np.concatenate([rng.uniform(-8, 28, size=30), [0.0, 20.0, 1000.0, -1000.0]])
+        ys = np.concatenate([rng.uniform(-8, 28, size=30), [20.0, 0.0, 5.0, 5.0]])
+        for radius in (0.0, 1.0, 2.9, 7.5):
+            owners, cells = small_grid.cells_within_many(xs, ys, radius)
+            assert np.all(np.diff(owners) >= 0)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                expected = small_grid.cells_within(float(x), float(y), radius)
+                np.testing.assert_array_equal(cells[owners == i], expected)
+                assert cells.dtype == expected.dtype
+
+    def test_cells_within_many_empty_and_negative(self, small_grid):
+        owners, cells = small_grid.cells_within_many([], [], 3.0)
+        assert owners.size == cells.size == 0
+        with pytest.raises(ValueError, match="radius"):
+            small_grid.cells_within_many([0.0], [0.0], -1.0)
 
     def test_distances_from_all(self, small_grid):
         d = small_grid.distances_from(1.0, 1.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import Grid
 from repro.core.noise import (
@@ -129,3 +131,60 @@ class TestUniformDiskNoiseModel:
         centers = small_grid.centers()[cells]
         d = np.hypot(centers[:, 0] - 10.0, centers[:, 1] - 10.0)
         assert (d <= 5.0 + 1e-9).all()
+
+
+# ----------------------------------------------------------------------
+# The batched Eq. 3 pass is bitwise the per-point one
+# ----------------------------------------------------------------------
+@st.composite
+def grids(draw):
+    cell = draw(st.sampled_from([0.7, 1.0, 2.0, 3.0, 100.0]))
+    cols, rows = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    x0, y0 = draw(st.sampled_from([0.0, -13.3, 250.5])), draw(st.sampled_from([0.0, 7.1]))
+    return Grid(x0, y0, x0 + cols * cell, y0 + rows * cell, cell)
+
+
+def noise_models(cell):
+    """All four noise models, with σ from well below a cell to several cells."""
+    scale = st.floats(0.05, 4.0, allow_nan=False)
+    return st.one_of(
+        scale.map(lambda k: GaussianNoiseModel(k * cell)),
+        scale.map(lambda k: GaussianNoiseModel(k * cell, squared=False)),
+        st.tuples(scale, st.floats(0.5, 5.0)).map(
+            lambda a: GaussianNoiseModel(a[0] * cell, truncate=a[1])
+        ),
+        scale.map(lambda k: UniformDiskNoiseModel(k * cell)),
+        st.just(DeterministicNoiseModel()),
+    )
+
+
+def axis_coords(lo, hi, cell):
+    """Coordinates on, near and outside both edges, on cell borders and inside."""
+    eps = cell * 1e-9
+    edges = st.sampled_from([lo, hi, lo + cell, hi - cell])
+    return st.one_of(
+        edges,
+        st.tuples(edges, st.sampled_from([-eps, eps, -0.5 * cell, 0.5 * cell])).map(sum),
+        st.floats(lo - 6 * cell, hi + 6 * cell, allow_nan=False),
+    )
+
+
+class TestCellDistributions:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_per_point(self, data):
+        grid = data.draw(grids())
+        model = data.draw(noise_models(grid.cell_size))
+        n = data.draw(st.integers(0, 12))
+        xs = data.draw(st.lists(axis_coords(grid.min_x, grid.max_x, grid.cell_size), min_size=n, max_size=n))
+        ys = data.draw(st.lists(axis_coords(grid.min_y, grid.max_y, grid.cell_size), min_size=n, max_size=n))
+        batch = model.cell_distributions(grid, np.array(xs, dtype=float), np.array(ys, dtype=float))
+        assert len(batch) == n
+        for (cells, probs), x, y in zip(batch, xs, ys):
+            ref_cells, ref_probs = model.cell_distribution(grid, x, y)
+            assert cells.dtype == ref_cells.dtype and probs.dtype == ref_probs.dtype
+            assert cells.tobytes() == ref_cells.tobytes()
+            assert probs.tobytes() == ref_probs.tobytes()
+
+    def test_empty_input(self, small_grid):
+        assert GaussianNoiseModel(2.0).cell_distributions(small_grid, [], []) == []

@@ -19,7 +19,6 @@ from repro.parallel import (
     ParallelSTS,
     SharedTrajectoryArena,
     chunk_pairs_by_cost,
-    pair_costs,
 )
 
 
@@ -242,7 +241,7 @@ class TestCostChunking:
     def test_partition_without_loss_or_duplication(self):
         pairs = [(i, j) for i in range(7) for j in range(i, 7)]
         lengths = [5 * (i + 1) for i in range(7)]
-        costs = pair_costs(pairs, lengths, lengths)
+        costs = [lengths[i] * lengths[j] for i, j in pairs]
         chunks = chunk_pairs_by_cost(pairs, costs, n_workers=3)
         flat = [p for chunk in chunks for p in chunk]
         assert sorted(flat) == sorted(pairs)
@@ -260,7 +259,8 @@ class TestCostChunking:
 
     def test_deterministic(self):
         pairs = [(i, j) for i in range(6) for j in range(i, 6)]
-        costs = pair_costs(pairs, [3, 1, 4, 1, 5, 9], [3, 1, 4, 1, 5, 9])
+        lengths = [3, 1, 4, 1, 5, 9]
+        costs = [lengths[i] * lengths[j] for i, j in pairs]
         assert chunk_pairs_by_cost(pairs, costs, 4) == chunk_pairs_by_cost(
             pairs, costs, 4
         )

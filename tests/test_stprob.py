@@ -1,11 +1,15 @@
 """Unit tests for spatial-temporal probability estimation (Eq. 4–5)."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import stprob
 from repro.core.grid import Grid
 from repro.core.noise import DeterministicNoiseModel, GaussianNoiseModel
-from repro.core.speed import KDESpeedModel
+from repro.core.speed import GaussianSpeedModel, KDESpeedModel
 from repro.core.stprob import TrajectorySTP
 from repro.core.transition import FrequencyTransitionModel, SpeedTransitionModel
 from repro.core.trajectory import Trajectory
@@ -230,3 +234,54 @@ class TestCacheStats:
         assert results["hits"] >= 1
         assert results["misses"] >= 1
         assert results["evictions"] == 0
+
+
+class TestFFTChunks:
+    """Bridged times of one call share FFT round trips across segments."""
+
+    @pytest.mark.parametrize("budget", [stprob.FFT_CHUNK_BYTES, 60_000])  # 73 and 4 queries
+    def test_round_trips_per_chunk_not_per_segment(self, grid, walker, monkeypatch, budget):
+        times = [float(t + f) for t in walker.timestamps[:-1] for f in (0.5, 2.0, 3.5)]
+        reference = make_stp(walker, grid, mode="fft").stp_batch(times)
+        monkeypatch.setattr(stprob, "FFT_CHUNK_BYTES", budget)
+        stp = make_stp(walker, grid, mode="fft")
+        calls = []
+        real = stprob._fft.irfft2
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stprob._fft, "irfft2", spy)
+        got = stp.stp_batch(times)
+        chunk = stp._fft_geometry()[3]
+        assert len(calls) <= math.ceil(len(times) / chunk) < 2 * 5
+        assert sum(calls) == 2 * len(times)  # a forward and a backward kernel each
+        for (cells, probs), (ref_cells, ref_probs) in zip(got, reference):
+            assert cells.tobytes() == ref_cells.tobytes()
+            assert probs.tobytes() == ref_probs.tobytes()
+
+    def test_scratch_does_not_grow_with_queries(self):
+        grid = Grid(0, 0, 120, 120, cell_size=3.0)
+        k = np.arange(11)
+        walker = Trajectory.from_arrays(30 + 6.0 * k, 60 + 3 * np.sin(k), 20.0 * k)
+        stp = TrajectorySTP(
+            walker, grid, GaussianNoiseModel(3.0),
+            SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)), cache_size=0,
+        )
+        assert stp._fft_geometry()[2] == (60, 60)
+        rng = np.random.default_rng(2)
+        stp.stp_batch([10.0])  # plan caches and lazy geometry outside the measurement
+
+        def scratch(n_times):
+            times = np.sort(rng.uniform(0.5, 199.5, n_times))
+            tracemalloc.start()
+            try:
+                out = stp.stp_batch(times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(cells.nbytes + probs.nbytes for cells, probs in out)
+
+        few, many = scratch(10), scratch(200)
+        assert many < 1.25 * few, (few, many)
