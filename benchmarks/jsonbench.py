@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["REPO_ROOT", "HISTORY_LIMIT", "time_config", "time_paired", "write_report"]
+__all__ = ["REPO_ROOT", "HISTORY_LIMIT", "time_config", "write_report"]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,37 +80,6 @@ def time_config(fn: Callable[[], object], repeats: int = 3, warmup: int = 0) -> 
     for _ in range(warmup):
         fn()
     return _stats([_timed(fn) for _ in range(repeats)])
-
-
-def time_paired(
-    fn_a: Callable[[], object],
-    fn_b: Callable[[], object],
-    repeats: int = 3,
-    warmup: int = 0,
-) -> tuple[dict, dict]:
-    """Interleaved A/B stats for two variants of the same workload.
-
-    When the expected difference between two configurations is small
-    relative to machine drift (thermal throttling, noisy-neighbour load
-    on shared runners), timing them in separate blocks attributes the
-    drift to whichever ran later.  Here every round runs both callables
-    back-to-back, alternating which goes first (ABBA ordering), so slow
-    drift lands on both sides equally and the *difference* stays
-    meaningful.  Returns ``(stats_a, stats_b)``, each shaped exactly
-    like :func:`time_config`'s result.
-    """
-    for _ in range(warmup):
-        fn_a()
-        fn_b()
-    times_a: list[float] = []
-    times_b: list[float] = []
-    for k in range(repeats):
-        order = [(fn_a, times_a), (fn_b, times_b)]
-        if k % 2:
-            order.reverse()
-        for fn, sink in order:
-            sink.append(_timed(fn))
-    return _stats(times_a), _stats(times_b)
 
 
 def write_report(filename: str, payload: dict) -> Path:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -129,27 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel workers for score matrices (-1 = all available CPUs; "
         "default: serial)",
     )
-    perf.add_argument(
-        "--shm",
-        dest="shm",
-        action="store_true",
-        default=None,
-        help="force the shared-memory corpus broadcast for parallel scoring "
-        "(default: auto — used whenever the process backend is)",
-    )
-    perf.add_argument(
-        "--no-shm",
-        dest="shm",
-        action="store_false",
-        help="disable the shared-memory broadcast (pickle the corpus per worker)",
-    )
-    perf.add_argument(
-        "--chunking",
-        choices=["count", "cost"],
-        default=None,
-        help="chunk balancing for parallel scoring: equal pair counts "
-        "(count, default) or near-equal estimated cost (|T1|·|T2|)",
-    )
 
     matching = sub.add_parser(
         "matching", parents=[common, perf], help="run the trajectory-matching task"
@@ -198,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     link = sub.add_parser(
         "link",
-        parents=[on_error, perf],
+        parents=[on_error],
         help="link query trajectories to a gallery (STS)",
     )
     link.add_argument("--queries", required=True, help="queries CSV (object_id,x,y,t)")
@@ -399,16 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_parallel_flags(args) -> None:
-    """Install the --shm/--chunking choices as process-wide defaults."""
-    shm = getattr(args, "shm", None)
-    chunking = getattr(args, "chunking", None)
-    if shm is not None or chunking is not None:
-        from .parallel import set_parallel_defaults
-
-        set_parallel_defaults(shm=shm, chunking=chunking)
-
-
 def _load_corpus(path: str, on_error: str) -> list:
     """Load a CSV corpus through the sanitization gate, reporting skips."""
     trajectories, io_report = load_trajectories_csv_report(path, on_error=on_error)
@@ -438,8 +408,6 @@ def _run_link(args) -> int:
     if not queries or not gallery:
         raise SystemExit("link: queries and gallery must both be non-empty")
     measure = _grid_and_measure(queries + gallery, args.cell, args.sigma)
-    _apply_parallel_flags(args)
-    parallel = args.n_jobs is not None and args.n_jobs != 1
     if getattr(args, "cluster_shards", None) is not None:
         # Cluster serving: the gallery is sharded across supervised
         # replica workers; each query scatter-gathers with failover and
@@ -456,6 +424,7 @@ def _run_link(args) -> int:
             hedge=not args.no_hedge,
         )
         gallery = matcher.gallery
+        workers = matcher  # closing it stops the shard workers
         query_fn = lambda q, budget: matcher.query(q, k=args.top, budget=budget)
         print(
             f"cluster: {matcher.plan}, fingerprint {matcher.fingerprint[:12]}, "
@@ -463,20 +432,13 @@ def _run_link(args) -> int:
             file=sys.stderr,
         )
     else:
-        # With several queries against one gallery, a persistent pool pays
-        # the gallery broadcast once and reuses warm workers per query.
         matcher = FilteredMatcher(
-            measure,
-            grid=measure.grid,
-            spatial_slack=8.0 * args.sigma,
-            n_jobs=args.n_jobs,
-            shm=args.shm,
-            chunking=args.chunking,
-            persistent_pool=parallel and len(queries) > 1,
+            measure, grid=measure.grid, spatial_slack=8.0 * args.sigma
         )
+        workers = nullcontext()
         query_fn = lambda q, budget: matcher.query(q, gallery, k=args.top, budget=budget)
     bounded = args.deadline_ms is not None or args.max_rss_mb is not None
-    with matcher:
+    with workers:
         for query in queries:
             budget = None
             if bounded:
@@ -891,7 +853,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             grid, corpus, dataset.location_error, include=args.methods
         )
         print(f"matching task on {dataset.name} (n={len(d1)} queries)")
-        _apply_parallel_flags(args)
         for measure in measures.values():
             print(f"  {evaluate_matching(measure, d1, d2, n_jobs=args.n_jobs)}")
         return 0
@@ -904,7 +865,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "report":
-        _apply_parallel_flags(args)
         report = run_all_experiments(
             dataset,
             seed=args.seed,

@@ -120,7 +120,6 @@ class ClusterMatcher:
 
     def close(self) -> None:
         """Stop the worker group (only if this matcher created it)."""
-        self.matcher.close()
         if self._owns_service:
             self.service.close()
 

@@ -38,7 +38,8 @@ hang even on unbudgeted queries.
 
 When every replica is healthy the gathered scores are bitwise identical
 to the single-process path: workers score the exact float64 arrays the
-parent packed, through the same ``measure.similarity`` code.
+parent packed, each request as one ``1 × k`` block of the Eq. 10 block
+kernel, and a kernel entry depends only on its pair.
 """
 
 from __future__ import annotations

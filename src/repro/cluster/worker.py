@@ -3,11 +3,14 @@
 Each worker hosts one *replica* of one *shard*: it attaches (read-only)
 to the shard's :class:`~repro.parallel.shm.SharedTrajectoryArena`,
 rebuilds zero-copy trajectory views, and answers scoring requests over a
-duplex :func:`multiprocessing.Pipe`.  Because the packed arrays hold the
-exact float64 values of the parent's trajectories and scoring runs the
-same ``measure.similarity`` code, every score is bitwise identical to
-the single-process path — which is what lets the service treat replicas
-as interchangeable and hedge requests freely.
+duplex :func:`multiprocessing.Pipe`.  A request's columns are scored as
+one ``1 × k`` block of the Eq. 10 block kernel
+(:func:`~repro.similarity.base.similarity_block`), the same call the
+single-process refine makes.  The packed arrays hold the exact float64
+values of the parent's trajectories and a kernel entry depends only on
+its pair, so every score is bitwise identical to the single-process
+path — which is what lets the service treat replicas as interchangeable
+and hedge requests freely.
 
 Protocol (parent → worker / worker → parent), all tuples:
 
@@ -28,18 +31,17 @@ Protocol (parent → worker / worker → parent), all tuples:
   always flush, so a health-check drain leaves the parent's folded
   totals exact.
 * ``("info", req_id)`` → ``("info", req_id, payload)`` — introspection
-  for tests: the worker's resolved ``n_jobs``, its scorer's worker
-  count, how many child processes it has (must be zero: shard workers
-  never fork), and ``metrics`` — the worker's *cumulative* registry
-  snapshot, the ground truth fleet aggregation is verified against.
+  for tests: the worker's resolved ``n_jobs``, how many child processes
+  it has (must be zero: shard workers never fork), and ``metrics`` — the
+  worker's *cumulative* registry snapshot, the ground truth fleet
+  aggregation is verified against.
 * ``("stop",)`` — clean shutdown (EOF on the pipe does the same).
 
 The first thing a worker does is :func:`~repro.parallel.pool.
 mark_cluster_worker`: any code inside the worker that sizes a pool
-through :func:`~repro.parallel.pool.resolve_n_jobs` — including the
-:class:`~repro.parallel.ParallelSTS` the worker scores through — is
-clamped to ``n_jobs=1``.  Without the clamp, an N×R cluster whose
-workers each open a per-CPU pool would fork N·R·cpus processes.
+through :func:`~repro.parallel.pool.resolve_n_jobs` is clamped to
+``n_jobs=1``.  Without the clamp, an N×R cluster whose workers each
+open a per-CPU pool would fork N·R·cpus processes.
 Workers are also spawned as daemons, so ``multiprocessing`` itself
 refuses grandchildren as a second line of defense.
 
@@ -108,6 +110,7 @@ def worker_main(
     from ..obs import DeltaSource, enabled as obs_enabled, get_registry, get_tracer
     from ..obs import JsonlLogger, merge_snapshots, span_payload
     from ..parallel.pool import mark_cluster_worker, resolve_n_jobs
+    from ..similarity.base import similarity_block
 
     mark_cluster_worker()
     log = JsonlLogger(shard=shard, replica=replica)
@@ -159,18 +162,11 @@ def worker_main(
     else:
         gallery = list(fallback_gallery or [])
 
-    # Score through the same parallel engine the single-process path
-    # offers — inside a cluster worker resolve_n_jobs clamps it to 1, so
-    # this is the serial fast path and the worker never forks.
-    from ..parallel.sts import ParallelSTS
+    def score(query, local_cols):
+        """One ``1 × k`` kernel block: the query against its columns."""
+        return similarity_block(measure, [query], [gallery[c] for c in local_cols])[0]
 
-    scorer = ParallelSTS(measure, n_jobs=-1)
-    log.info(
-        "ready",
-        n=len(gallery),
-        n_jobs=scorer.n_jobs,
-        arena=view is not None,
-    )
+    log.info("ready", n=len(gallery), arena=view is not None)
 
     tracer = get_tracer()
     delay_s = float(config.get("delay_s", 0.0) or 0.0)
@@ -199,7 +195,6 @@ def worker_main(
                             "shard": shard,
                             "replica": replica,
                             "resolved_n_jobs": resolve_n_jobs(-1),
-                            "scorer_n_jobs": scorer.n_jobs,
                             "child_processes": _child_process_count(),
                             "gallery_size": len(gallery),
                             "scored": scored,
@@ -230,7 +225,7 @@ def worker_main(
                         replica=replica,
                         pairs=len(local_cols),
                     ) as span:
-                        scores = scorer.query(query, gallery, cols=local_cols)
+                        scores = score(query, local_cols)
                     telemetry = {
                         "pid": os.getpid(),
                         "delta": take_delta(),
@@ -241,7 +236,7 @@ def worker_main(
                         ),
                     }
                 else:
-                    scores = scorer.query(query, gallery, cols=local_cols)
+                    scores = score(query, local_cols)
                     telemetry = None
                 conn.send(("score", req_id, [float(s) for s in scores], telemetry))
             except Exception as exc:

@@ -355,8 +355,6 @@ class STS:
         backend: str = "auto",
         checkpoint: str | None = None,
         deadline: float | None = None,
-        shm: bool | str | None = None,
-        chunking: str | None = None,
         cluster=None,
     ) -> np.ndarray:
         """Similarity matrix between two trajectory collections.
@@ -371,18 +369,13 @@ class STS:
         ``backend``); ``-1`` uses every available core.  The parallel
         matrix matches the serial one bitwise regardless of worker count,
         and the pool is supervised: dead/hung workers are retried and the
-        backend degrades rather than failing the run.
-
-        ``shm`` controls the corpus transport for the process backend:
-        ``"auto"`` (default) broadcasts the trajectories once through a
-        shared-memory arena instead of pickling them per worker;
-        ``False`` forces the pickling path.  ``chunking="cost"`` balances
-        blocks by total trajectory length instead of index count.
+        backend degrades rather than failing the run.  Process workers
+        read the trajectories from one shared-memory arena, never from a
+        pickled copy.
 
         ``checkpoint`` names a chunk journal file (atomic write-rename);
         an interrupted run pointed at the same file resumes from the last
-        completed chunk.  Resume requires the same ``n_jobs`` and
-        ``chunking``.
+        completed chunk.  Resume requires the same ``n_jobs``.
 
         ``deadline`` caps the whole call at that many wall-clock seconds;
         pairs not scored in time come back NaN (see
@@ -416,9 +409,9 @@ class STS:
         if (n_jobs is not None and n_jobs != 1) or checkpoint is not None or deadline is not None:
             from ..parallel import ParallelSTS
 
-            return ParallelSTS(
-                self, n_jobs=n_jobs, backend=backend, shm=shm, chunking=chunking
-            ).pairwise(gallery, queries, checkpoint=checkpoint, deadline=deadline)
+            return ParallelSTS(self, n_jobs=n_jobs, backend=backend).pairwise(
+                gallery, queries, checkpoint=checkpoint, deadline=deadline
+            )
         t_start = perf_counter()
         with trace_span(
             "sts.pairwise",

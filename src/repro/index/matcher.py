@@ -105,26 +105,10 @@ class FilteredMatcher:
     signature_dilation:
         Dilation (in cells) of the query signature for the cell filter;
         only used when ``grid`` is given.
-    n_jobs:
-        Worker count for scoring the surviving candidates, for measures
-        exposing the STS-style ``pairwise(..., n_jobs=...)`` entry point
-        (see :class:`repro.parallel.ParallelSTS`).  ``None``/``1`` scores
-        serially — still through the batched path when available.
-    shm, chunking:
-        Transport and chunk-balancing policy for parallel refine, passed
-        through to :class:`~repro.parallel.ParallelSTS` (``shm="auto"``
-        broadcasts the corpus through a shared-memory arena;
-        ``chunking="cost"`` balances chunks by estimated pair cost).
-    persistent_pool:
-        Keep one warm worker pool (and the gallery's shared-memory
-        arena) alive across :meth:`query` calls — the serving pattern:
-        the gallery is broadcast once, then every query ships only its
-        own trajectory plus surviving indices.  Call :meth:`close` (or
-        use the matcher as a context manager) to release the pool.
-        Reuse requires the same gallery *objects* across calls; a
-        different gallery transparently invalidates the warm pool and
-        re-broadcasts (or, with ``shm=False``, re-pickles) — on every
-        transport, never silently scoring the old corpus.
+    cluster:
+        Optional :class:`~repro.cluster.ClusterService` built from the
+        gallery: survivors are then refined in parallel across its shard
+        workers.  Without it, refine runs in-process.
     """
 
     def __init__(
@@ -134,10 +118,6 @@ class FilteredMatcher:
         spatial_slack: float | None = 0.0,
         min_time_overlap: float = 0.0,
         signature_dilation: int = 2,
-        n_jobs: int | None = None,
-        shm: bool | str | None = None,
-        chunking: str | None = None,
-        persistent_pool: bool = False,
         cluster=None,
         registry=None,
     ):
@@ -146,16 +126,11 @@ class FilteredMatcher:
         self.spatial_slack = spatial_slack
         self.min_time_overlap = float(min_time_overlap)
         self.signature_dilation = int(signature_dilation)
-        self.n_jobs = n_jobs
-        self.shm = shm
-        self.chunking = chunking
-        self.persistent_pool = bool(persistent_pool)
         #: Optional :class:`~repro.cluster.ClusterService` — when set,
         #: survivor refinement is scatter-gathered across its shard
         #: workers (with failover/hedging) instead of scored in-process,
         #: and MatchReports carry the cluster's coverage semantics.
         self.cluster = cluster
-        self._parallel = None  # lazy ParallelSTS, cached when persistent
         # Share the measure's registry when it has one, so filter and
         # refine metrics land next to the scoring metrics.
         if registry is not None:
@@ -243,7 +218,7 @@ class FilteredMatcher:
                     surviving = surviving[keep]
                     subset = [subset[i] for i in keep]
                 else:
-                    scores = self._score_survivors(query, gallery, surviving, subset)
+                    scores = self._score_survivors(query, subset)
             self._m_scored.inc(int(surviving.size))
             matches = [
                 RankedMatch(index=int(i), trajectory=traj, score=float(s))
@@ -272,70 +247,15 @@ class FilteredMatcher:
             ),
         )
 
-    def _refine_engine(self):
-        """The (lazily built, possibly cached) parallel scoring engine."""
-        if self._parallel is not None:
-            return self._parallel
-        from ..parallel import ParallelSTS
-
-        engine = ParallelSTS(
-            self.measure,
-            n_jobs=self.n_jobs,
-            shm=self.shm,
-            chunking=self.chunking,
-            persistent=self.persistent_pool,
-            registry=self._registry,
-        )
-        if self.persistent_pool:
-            self._parallel = engine
-        return engine
-
-    def close(self) -> None:
-        """Release the persistent worker pool and gallery arena, if any."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    def __enter__(self) -> "FilteredMatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _score_survivors(
-        self,
-        query: Trajectory,
-        gallery: list[Trajectory],
-        surviving: np.ndarray,
-        subset: list[Trajectory],
-    ) -> list[float]:
+    def _score_survivors(self, query: Trajectory, subset: list[Trajectory]) -> list[float]:
         """Oriented scores of the query against each surviving candidate.
 
-        Routes through :meth:`repro.parallel.ParallelSTS.query` when the
-        measure offers the STS-style parallel entry point and parallel
-        scoring was requested: the *full gallery* rides the shared-memory
-        arena (reused across calls under ``persistent_pool``) and only
-        the surviving indices are dispatched.  In-process, a measure with
-        a block kernel (STS) scores every survivor as one ``1 × k``
-        block; any other measure falls back to the ``score`` loop.
+        A measure with a block kernel (STS) scores every survivor as one
+        ``1 × k`` block; any other measure falls back to the ``score``
+        loop.  Parallel refine is the cluster route (``cluster=``).
         """
         if not subset:
             return []
-        if self.n_jobs not in (None, 1):
-            from ..eval.matching import _supports_parallel_pairwise
-
-            if _supports_parallel_pairwise(self.measure) and hasattr(
-                self.measure, "similarity"
-            ):
-                engine = self._refine_engine()
-                try:
-                    row = engine.query(
-                        query, gallery, cols=[int(i) for i in surviving]
-                    )
-                finally:
-                    if not self.persistent_pool:
-                        engine.close()
-                return [float(s) for s in np.asarray(row)]
         kernel = getattr(self.measure, "similarity_block", None)
         if kernel is not None:
             return [float(s) for s in kernel([query], subset)[0]]

@@ -7,23 +7,16 @@ routes through this package automatically.
 
 The process backend broadcasts the trajectory corpus to workers through
 a :class:`SharedTrajectoryArena` — one shared-memory pack, zero-copy
-views on the worker side — instead of pickling the collections into
-every pool; see :mod:`repro.parallel.shm`.
+views on the worker side — so the corpus is never pickled; see
+:mod:`repro.parallel.shm`.
 
-Execution is supervised by default: worker crashes, hangs and corrupt
-scores are retried with backoff and the backend degrades
+Execution is supervised: worker crashes, hangs and corrupt scores are
+retried with backoff and the backend degrades
 ``process → thread → serial`` instead of failing the run — see
 :mod:`repro.parallel.supervisor` and the :class:`RunHealth` report.
 """
 
-from .pool import (
-    available_cpus,
-    chunk_pairs,
-    chunk_pairs_by_cost,
-    get_parallel_defaults,
-    resolve_n_jobs,
-    set_parallel_defaults,
-)
+from .pool import available_cpus, chunk_pairs, resolve_n_jobs
 from .shm import ArenaHandle, ArenaView, SharedTrajectoryArena
 from .sts import ParallelSTS
 from .supervisor import ChunkEvent, RunHealth, SupervisedExecutor
@@ -32,10 +25,7 @@ __all__ = [
     "ParallelSTS",
     "available_cpus",
     "chunk_pairs",
-    "chunk_pairs_by_cost",
     "resolve_n_jobs",
-    "set_parallel_defaults",
-    "get_parallel_defaults",
     "ArenaHandle",
     "ArenaView",
     "SharedTrajectoryArena",

@@ -2,8 +2,7 @@
 
 The process backend ships the measure to each worker **once**, through
 the pool initializer, instead of pickling it into every task.  The
-trajectory collections travel either the same way (pickled initargs, the
-historical path) or — preferably — as a :class:`~repro.parallel.shm.
+trajectory corpus travels as a :class:`~repro.parallel.shm.
 SharedTrajectoryArena` handle: the corpus lives in one shared-memory
 block the parent packed, workers attach at initializer time, and the
 only per-call payload is a :class:`Block` of row and column indices.  A
@@ -19,15 +18,15 @@ each worker owns a private, race-free working set.
 The thread backend shares one measure instance across workers; the
 measure's caches are lock-protected, and the heavy kernels (pocketfft,
 BLAS) release the GIL, so threads help even for CPU-bound scoring when
-processes are unavailable (un-picklable custom models, restricted
-platforms).  Threads share the parent address space, so the arena is a
-no-op passthrough there: the original trajectory lists are used as-is.
+processes are unavailable (un-picklable custom models, no shared
+memory).  Threads share the parent address space, so they need no
+arena: the original trajectory lists are used as-is.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
+import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -36,10 +35,7 @@ __all__ = [
     "Block",
     "resolve_n_jobs",
     "chunk_pairs",
-    "chunk_pairs_by_cost",
     "make_executor",
-    "set_parallel_defaults",
-    "get_parallel_defaults",
     "mark_cluster_worker",
     "in_cluster_worker",
 ]
@@ -64,38 +60,6 @@ def in_cluster_worker() -> bool:
     """Whether this process is a cluster shard worker."""
     return _IN_CLUSTER_WORKER or os.environ.get(_CLUSTER_WORKER_ENV) == "1"
 
-# Process-wide defaults for the parallel transport/chunking policy.
-# ParallelSTS resolves unspecified (None) shm/chunking arguments against
-# these, so entry points that cannot thread the knobs through every layer
-# (the CLI's `report`, the experiment runners) can set them once.
-_PARALLEL_DEFAULTS = {"shm": "auto", "chunking": "count"}
-
-
-def set_parallel_defaults(
-    shm: bool | str | None = None, chunking: str | None = None
-) -> None:
-    """Set process-wide defaults for ``shm`` and ``chunking``.
-
-    ``None`` leaves a knob unchanged.  Affects every subsequently built
-    :class:`~repro.parallel.ParallelSTS` that does not pass the knob
-    explicitly.
-    """
-    if shm is not None:
-        if shm not in (True, False, "auto"):
-            raise ValueError(f"shm must be True, False or 'auto', got {shm!r}")
-        _PARALLEL_DEFAULTS["shm"] = shm
-    if chunking is not None:
-        if chunking not in ("count", "cost"):
-            raise ValueError(
-                f"chunking must be 'count' or 'cost', got {chunking!r}"
-            )
-        _PARALLEL_DEFAULTS["chunking"] = chunking
-
-
-def get_parallel_defaults() -> dict:
-    """The current process-wide ``{"shm": ..., "chunking": ...}`` defaults."""
-    return dict(_PARALLEL_DEFAULTS)
-
 # Per-process worker state, populated by the pool initializer.  A module
 # global (not an instance attribute) because worker functions must be
 # importable top-level objects for pickling.
@@ -103,11 +67,10 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(measure, gallery, queries) -> None:
-    """Pool initializer: install this worker's private scoring state."""
+    """Install the thread and serial rungs' scoring state (the parent's objects)."""
     _WORKER_STATE["measure"] = measure
     _WORKER_STATE["gallery"] = gallery
     _WORKER_STATE["queries"] = queries
-    _WORKER_STATE.pop("arena_view", None)
     _install_delta_sources()
 
 
@@ -161,41 +124,25 @@ class Block:
         return [(i, j, float(scores[a, b])) for a, b, i, j in self._cells()]
 
 
-def _score_block(measure, block: Block, rows, gallery) -> list[tuple[int, int, float]]:
-    """Score ``block`` in one kernel call and return its triples."""
+def _score_chunk(block: Block) -> list[tuple[int, int, float]]:
+    """Score one block against the worker's state in one kernel call."""
     from ..obs import trace_span
     from ..similarity.base import similarity_block
 
+    gallery = _WORKER_STATE["gallery"]
+    queries = _WORKER_STATE["queries"]
+    rows = gallery if queries is None else queries
     with trace_span("parallel.chunk", pairs=len(block)):
         scores = similarity_block(
-            measure,
+            _WORKER_STATE["measure"],
             [rows[i] for i in block.rows],
             None if block.cols is None else [gallery[j] for j in block.cols],
         )
     return block.triples(scores)
 
 
-def _score_chunk(block: Block) -> list[tuple[int, int, float]]:
-    """Score one block against the worker's state."""
-    gallery = _WORKER_STATE["gallery"]
-    queries = _WORKER_STATE["queries"]
-    rows = gallery if queries is None else queries
-    return _score_block(_WORKER_STATE["measure"], block, rows, gallery)
-
-
-def _score_chunk_vs_queries(queries, block: Block) -> list[tuple[int, int, float]]:
-    """Score a block whose *rows* are call-supplied query trajectories.
-
-    Used by the persistent-pool query path: the gallery is the arena the
-    worker attached at initializer time, while the (small) query list
-    rides along with the task.  ``functools.partial`` binds ``queries``
-    so the submitted callable stays a picklable top-level function.
-    """
-    return _score_block(_WORKER_STATE["measure"], block, queries, _WORKER_STATE["gallery"])
-
-
 #: Sentinel key marking a process-worker result that carries telemetry
-#: alongside the score triples (see _task_with_telemetry).
+#: alongside the score triples (see _score_chunk_with_telemetry).
 TELEMETRY_KEY = "__repro_worker_telemetry__"
 
 
@@ -252,8 +199,8 @@ def _worker_delta():
     return merged
 
 
-def _task_with_telemetry(task, block):
-    """Run ``task`` in a process worker, piggybacking telemetry home.
+def _score_chunk_with_telemetry(block: Block) -> dict:
+    """Score ``block`` in a process worker, piggybacking telemetry home.
 
     Wraps the chunk in a span and returns ``{TELEMETRY_KEY: True,
     "triples": ..., "delta": ..., "trace": ...}``; the supervisor
@@ -266,14 +213,14 @@ def _task_with_telemetry(task, block):
 
     result = {TELEMETRY_KEY: True}
     if not obs_enabled():
-        result["triples"] = task(block)
+        result["triples"] = _score_chunk(block)
         return result
     from ..obs import get_tracer, span_payload
 
     with get_tracer().span(
         "parallel.worker-chunk", pairs=len(block), worker_pid=os.getpid()
     ) as span:
-        result["triples"] = task(block)
+        result["triples"] = _score_chunk(block)
     result["delta"] = _worker_delta()
     result["trace"] = span_payload(span)
     return result
@@ -335,36 +282,6 @@ def chunk_pairs(pairs: Sequence, n_workers: int, chunks_per_worker: int = 4) -> 
     return [list(pairs[k::n_chunks]) for k in range(n_chunks)]
 
 
-def chunk_pairs_by_cost(
-    pairs: Sequence,
-    costs: Sequence[int],
-    n_workers: int,
-    chunks_per_worker: int = 4,
-) -> list[list]:
-    """Partition work items into chunks of near-equal *total cost*.
-
-    The items may be pairs or trajectory indices (the index groups of
-    :class:`~repro.parallel.ParallelSTS` blocks, weighted by length).
-    Deterministic greedy LPT: items are taken in decreasing cost order
-    (ties broken by original position, so the plan is reproducible and
-    checkpoint-stable) and each goes to the currently lightest chunk.
-    Within a chunk the original order is restored, keeping journals
-    readable.  Every item appears in exactly one chunk, so the assembled
-    matrix is bitwise independent of the chunking policy.
-    """
-    if not pairs:
-        return []
-    n_chunks = min(len(pairs), max(1, n_workers * chunks_per_worker))
-    order = sorted(range(len(pairs)), key=lambda k: (-costs[k], k))
-    totals = [0] * n_chunks
-    members: list[list[int]] = [[] for _ in range(n_chunks)]
-    for k in order:
-        target = min(range(n_chunks), key=lambda c: (totals[c], c))
-        totals[target] += costs[k]
-        members[target].append(k)
-    return [[pairs[k] for k in sorted(m)] for m in members]
-
-
 def make_executor(
     backend: str,
     n_workers: int,
@@ -372,78 +289,27 @@ def make_executor(
     gallery,
     queries,
     arena_handle=None,
-    registry=None,
-) -> tuple[Executor, str]:
-    """Build the executor for ``backend`` (``"process"``/``"thread"``/``"auto"``).
+) -> Executor:
+    """Build the executor of one rung: ``"process"`` or ``"thread"``.
 
-    ``"auto"`` prefers processes (true parallelism for the CPU-bound
-    scoring loop) and falls back to threads when the measure cannot cross
-    a process boundary (e.g. a closure-based transition policy that does
-    not pickle).  Returns the executor and the backend actually chosen.
-
-    ``arena_handle`` switches the process backend to the shared-memory
-    protocol: initargs carry ``(measure, handle)`` instead of the pickled
-    collections, and workers attach to the arena in their initializer.
-    When the process backend is unavailable and the caller asked for the
-    arena, the fallback to pickling threads is *announced* — a one-line
-    ``RuntimeWarning`` plus the ``repro_parallel_shm_fallback_total``
-    counter — so a silent throughput regression stays diagnosable.
+    Process workers receive the measure and ``arena_handle`` through the
+    pool initializer and attach to the shared-memory arena there, so the
+    corpus is never pickled.  The process rung raises when there is no
+    arena or the measure does not pickle (e.g. a closure-based
+    transition policy); the supervisor then degrades to the thread rung.
+    Thread workers share the measure (its caches are lock-protected) and
+    the parent's own trajectory lists.
     """
-    if backend not in ("auto", "process", "thread"):
-        raise ValueError(
-            f"backend must be 'auto', 'process' or 'thread', got {backend!r}"
+    if backend == "process":
+        if arena_handle is None:
+            raise RuntimeError("no shared-memory arena to attach workers to")
+        pickle.dumps(measure)
+        return ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_init_worker_shm,
+            initargs=(measure, arena_handle),
         )
-    if backend in ("auto", "process"):
-        try:
-            import pickle
-
-            if arena_handle is not None:
-                pickle.dumps(measure)
-            else:
-                pickle.dumps((measure, gallery, queries))
-        except Exception:
-            if backend == "process":
-                raise
-            if arena_handle is not None:
-                _announce_shm_fallback("measure does not pickle", registry)
-        else:
-            if arena_handle is not None:
-                return (
-                    ProcessPoolExecutor(
-                        max_workers=n_workers,
-                        initializer=_init_worker_shm,
-                        initargs=(measure, arena_handle),
-                    ),
-                    "process",
-                )
-            return (
-                ProcessPoolExecutor(
-                    max_workers=n_workers,
-                    initializer=_init_worker,
-                    initargs=(measure, gallery, queries),
-                ),
-                "process",
-            )
-    # Thread fallback: share the measure (its caches are lock-protected).
-    # The arena is a no-op passthrough here — threads see the parent's
-    # own trajectory lists.
-    _init_worker(measure, gallery, queries)
-    return ThreadPoolExecutor(max_workers=n_workers), "thread"
-
-
-def _announce_shm_fallback(reason: str, registry=None) -> None:
-    """One-line warning + counter when the shm backend silently degrades."""
-    from ..obs import get_registry
-
-    reg = registry if registry is not None else get_registry()
-    reg.counter(
-        "repro_parallel_shm_fallback_total",
-        "Dispatches that fell back from the shared-memory arena to pickling",
-    ).inc(reason=reason)
-    warnings.warn(
-        f"shared-memory arena requested but unusable ({reason}); "
-        "falling back to the pickling path — expect serialization-bound "
-        "parallel throughput",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    if backend == "thread":
+        _init_worker(measure, gallery, queries)
+        return ThreadPoolExecutor(max_workers=n_workers)
+    raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")

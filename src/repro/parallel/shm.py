@@ -1,12 +1,10 @@
 """Zero-copy gallery broadcast through POSIX shared memory.
 
-The process backend of :mod:`repro.parallel` originally shipped the
-trajectory collections to every worker by pickling them into the pool
-initializer — O(corpus bytes × workers) of serialization per ``pairwise``
-call, which ``BENCH_throughput.json`` showed *dominating* the Eq. 10
-scoring the pool was meant to parallelize.  The classic inference-stack
-fix transfers directly: put the read-only corpus in shared memory
-**once**, and ship only indices.
+Pickling the trajectory collections into every process worker costs
+O(corpus bytes × workers) of serialization per ``pairwise`` call, which
+can dominate the Eq. 10 scoring the pool is meant to parallelize.  So
+the process backend of :mod:`repro.parallel` puts the read-only corpus
+in shared memory **once**, and ships only indices.
 
 :class:`SharedTrajectoryArena` packs a gallery's ``(t, x, y)`` arrays
 (plus per-trajectory offsets) into one ``multiprocessing.shared_memory``
@@ -33,8 +31,7 @@ Ownership protocol (leak safety)
   *parent* still gets its segment reaped by the tracker.
 
 The thread and serial rungs of the degradation ladder share the parent
-address space, so there the arena is a no-op passthrough — the pool
-plumbing simply uses the original trajectory lists.
+address space and use the original trajectory lists; they never attach.
 """
 
 from __future__ import annotations
@@ -152,7 +149,6 @@ class SharedTrajectoryArena:
         self._shm = shm
         self.handle = handle
         self._closed = False
-        self._packed_from: list[Trajectory] | None = None
         # Safety net: unlink even if the owner forgets to close (e.g. an
         # exception path that never reaches the finally).  finalize runs
         # at gc and, crucially, at interpreter exit.
@@ -203,7 +199,6 @@ class SharedTrajectoryArena:
             t[lo:hi] = traj.timestamps
         del xy, t  # release the buffer views so close() cannot raise
         arena = cls(shm, handle)
-        arena.remember_source(gallery, queries)
         reg = registry if registry is not None else get_registry()
         reg.counter(
             "repro_parallel_shm_bytes_total",
@@ -236,38 +231,6 @@ class SharedTrajectoryArena:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def matches(self, gallery: Sequence[Trajectory], queries=None) -> bool:
-        """Whether this arena was packed from exactly these collections.
-
-        Identity comparison, not equality: the persistent-pool path may
-        only reuse an arena when the caller passes the *same* trajectory
-        objects, because workers key their estimator caches on the packed
-        copies.
-        """
-        if self._closed:
-            return False
-        if queries is None and self.handle.has_queries:
-            return False
-        if queries is not None and not self.handle.has_queries:
-            return False
-        everything = list(gallery) + (list(queries) if queries is not None else [])
-        if len(everything) != self.handle.n_trajectories:
-            return False
-        if len(gallery) != self.handle.n_gallery:
-            return False
-        packed = getattr(self, "_packed_from", None)
-        if packed is None:
-            return False
-        return len(packed) == len(everything) and all(
-            a is b for a, b in zip(packed, everything)
-        )
-
-    def remember_source(self, gallery, queries=None) -> None:
-        """Record the source objects so :meth:`matches` can test identity."""
-        self._packed_from = list(gallery) + (
-            list(queries) if queries is not None else []
-        )
 
     def close(self) -> None:
         """Unlink the segment (idempotent; parent-only)."""

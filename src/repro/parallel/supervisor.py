@@ -14,14 +14,16 @@ the whole run.
 * **crash detection** — a ``BrokenProcessPool`` fails every in-flight
   chunk; the pool is rebuilt and the unfinished chunks re-dispatched.
 * **retries with capped exponential backoff** — each failed round waits
-  ``backoff_base * 2**round`` seconds (capped at ``backoff_max``)
+  ``backoff_base * 2**round`` seconds (capped at :data:`BACKOFF_MAX`)
   before re-dispatching, so a transiently sick machine gets air.
 * **progress timeouts** — if no chunk completes within
   ``chunk_timeout`` seconds the outstanding workers are presumed hung;
   process workers are killed outright (threads cannot be killed — there
   the timeout only abandons queued chunks).
 * **graceful degradation** — when a backend exhausts ``max_retries``
-  the supervisor steps down the ladder ``process → thread → serial``.
+  (or cannot start: no shared-memory arena, an un-picklable measure)
+  the supervisor steps down the ladder ``process → thread → serial``,
+  announcing the step off the process rung once per run.
   The serial rung runs in the driver process itself: a chunk that still
   fails there is failing deterministically, and the configured
   ``on_error`` policy decides between propagating the error and filling
@@ -39,8 +41,8 @@ happened along the way is recorded in a :class:`RunHealth` report.
 from __future__ import annotations
 
 import time
+import warnings
 from collections import defaultdict
-from functools import partial
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -50,9 +52,18 @@ import numpy as np
 
 from ..errors import ScoreCorruptionError, validate_policy
 from ..obs import adopt_span, get_registry, merge_into_registry
-from .pool import TELEMETRY_KEY, _init_worker, _score_chunk, _task_with_telemetry, make_executor
+from .pool import (
+    TELEMETRY_KEY,
+    _init_worker,
+    _score_chunk,
+    _score_chunk_with_telemetry,
+    make_executor,
+)
 
 __all__ = ["ChunkEvent", "RunHealth", "SupervisedExecutor"]
+
+#: Cap on the backoff between failed rounds, in seconds.
+BACKOFF_MAX = 2.0
 
 Triple = tuple[int, int, float]
 #: A chunk iterates the ``(row, col)`` pairs it owns (a pool ``Block``).
@@ -178,8 +189,8 @@ class SupervisedExecutor:
     Parameters
     ----------
     measure, gallery, queries:
-        The scoring state, exactly as :func:`~repro.parallel.pool.
-        make_executor` ships it to workers.
+        The scoring state: the thread and serial rungs score these
+        objects directly; process workers score the arena's views of them.
     n_jobs:
         Worker count for the pooled rungs.
     backend:
@@ -192,15 +203,14 @@ class SupervisedExecutor:
         timeout supervision.
     max_retries:
         Failed-round budget per rung before degrading to the next one.
-    backoff_base, backoff_max:
-        Capped exponential backoff between failed rounds, in seconds.
+    backoff_base:
+        Exponential backoff between failed rounds, in seconds (capped at
+        :data:`BACKOFF_MAX`).
     on_error:
         What to do when the serial rung still fails a chunk:
         ``"raise"`` propagates the original exception, ``"skip"`` (and
         ``"repair"``, which is equivalent at this layer) fills the
         chunk's pairs with NaN and records them as skipped.
-    validate_scores:
-        Reject non-finite scores as chunk corruption (on by default).
     deadline:
         Wall-clock allowance for the whole run, in seconds (``None`` =
         unbounded).  When it expires, chunks still outstanding are *shed*
@@ -208,30 +218,15 @@ class SupervisedExecutor:
         events — so the run returns promptly with a partial-but-shaped
         result instead of stalling.  Shed chunks are never journaled to
         a checkpoint, so a later unbounded rerun recomputes them.
-    sleep:
-        Injection point for the backoff sleep (tests pass a no-op).
-    clock:
-        Monotonic time source for the deadline (injectable for tests).
     arena_handle:
-        Optional :class:`~repro.parallel.shm.ArenaHandle`: the process
-        rung then uses the shared-memory protocol (workers attach to the
-        arena instead of unpickling the collections).  The thread and
-        serial rungs ignore it — they share the parent address space, so
-        the arena is a no-op passthrough and ``gallery``/``queries`` are
-        used directly.  Degrading away from the process rung while an
-        arena is in play is announced (warning + fallback counter).
-    task:
-        The chunk-scoring callable submitted to the pool (default
-        :func:`~repro.parallel.pool._score_chunk`).  Must be picklable
-        (top-level function or ``functools.partial`` of one) and accept
-        one argument: the chunk.
-    executor_factory, executor_release:
-        Pool lifecycle hooks for warm-pool reuse.  ``executor_factory(
-        backend, n_workers)`` returns ``(executor, actual_backend)``;
-        ``executor_release(executor, actual_backend, healthy)`` is called
-        after each round — ``healthy=False`` means the pool broke or
-        hung and must not be reused.  Defaults build a fresh pool per
-        round and shut it down after (the historical behaviour).
+        The :class:`~repro.parallel.shm.ArenaHandle` process workers
+        attach to.  Without one the process rung cannot start and the
+        run degrades to threads.  The thread and serial rungs share the
+        parent address space and ignore it.  Every step off the process
+        rung is announced (warning + fallback counter).
+
+    Non-finite scores are always rejected as chunk corruption: STS
+    scores are probabilities.
     """
 
     _LADDERS = {
@@ -251,17 +246,10 @@ class SupervisedExecutor:
         chunk_timeout: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         on_error: str = "raise",
-        validate_scores: bool = True,
         deadline: float | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
         registry=None,
         arena_handle=None,
-        task: Callable[[Chunk], list[Triple]] | None = None,
-        executor_factory=None,
-        executor_release=None,
     ):
         if backend not in self._LADDERS:
             raise ValueError(
@@ -275,22 +263,11 @@ class SupervisedExecutor:
         self.chunk_timeout = chunk_timeout
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
         self.on_error = validate_policy(on_error)
-        self.validate_scores = bool(validate_scores)
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
         self.deadline = deadline
-        self.sleep = sleep
-        self.clock = clock
         self.arena_handle = arena_handle
-        self.task = task if task is not None else _score_chunk
-        self._executor_factory = (
-            executor_factory if executor_factory is not None else self._default_factory
-        )
-        self._executor_release = (
-            executor_release if executor_release is not None else self._default_release
-        )
         self.health = RunHealth(backend_requested=backend)
         self._attempts: dict[int, int] = defaultdict(int)
         self._deadline_at: float | None = None
@@ -309,33 +286,18 @@ class SupervisedExecutor:
             "repro_supervisor_degradations_total",
             "Backend ladder step-downs (process->thread->serial)",
         )
-
-    # ------------------------------------------------------------------
-    def _default_factory(self, backend: str, n_workers: int):
-        """Fresh pool per round (shared-memory protocol when arena set)."""
-        return make_executor(
-            backend,
-            n_workers,
-            self.measure,
-            self.gallery,
-            self.queries,
-            arena_handle=self.arena_handle,
-            registry=self._registry,
+        self._m_thread_fallback = reg.counter(
+            "repro_parallel_shm_fallback_total",
+            "Parallel runs that fell back from shared-memory process "
+            "workers to threads",
         )
-
-    def _default_release(self, executor, actual: str, healthy: bool) -> None:
-        """Tear the round's pool down (hard when it broke or hung)."""
-        if healthy:
-            executor.shutdown(wait=True, cancel_futures=True)
-        else:
-            _kill_executor(executor, actual)
 
     # ------------------------------------------------------------------
     def _remaining(self) -> float | None:
         """Seconds left on the run deadline (``None`` when unbounded)."""
         if self._deadline_at is None:
             return None
-        return self._deadline_at - self.clock()
+        return self._deadline_at - time.monotonic()
 
     def _deadline_expired(self) -> bool:
         remaining = self._remaining()
@@ -396,7 +358,7 @@ class SupervisedExecutor:
         if todo:
             self._m_queued.inc(len(todo))
         if self.deadline is not None and self._deadline_at is None:
-            self._deadline_at = self.clock() + self.deadline
+            self._deadline_at = time.monotonic() + self.deadline
 
         ladder = self._LADDERS[self.backend]
         rung = 0
@@ -432,29 +394,36 @@ class SupervisedExecutor:
                 next_backend = ladder[rung + 1]
                 health.degradations.append(f"{backend}->{next_backend}")
                 self._m_degradations.inc(step=f"{backend}->{next_backend}")
-                if backend == "process" and self.arena_handle is not None:
-                    # Leaving the process rung abandons the shared-memory
-                    # protocol; say so rather than silently re-pickling.
-                    from .pool import _announce_shm_fallback
-
-                    _announce_shm_fallback(
-                        f"degraded {backend}->{next_backend}", self._registry
-                    )
+                if backend == "process":
+                    self._announce_thread_fallback(failed[0][1], failed[0][2])
                 rung += 1
                 rounds_on_rung = 0
             else:
                 delay = min(
-                    self.backoff_max,
+                    BACKOFF_MAX,
                     self.backoff_base * (2 ** (rounds_on_rung - 1)),
                 )
                 if delay > 0:
-                    self.sleep(delay)
+                    time.sleep(delay)
         return results
 
     # ------------------------------------------------------------------
-    def _validate(self, triples: list[Triple]) -> bool:
-        if not self.validate_scores:
-            return True
+    def _announce_thread_fallback(self, kind: str, detail: str) -> None:
+        """One warning and one counter increment for a step off the process rung.
+
+        Threads share one interpreter, so a silent step down would look
+        like a throughput regression with no cause.
+        """
+        self._m_thread_fallback.inc(reason=kind)
+        warnings.warn(
+            f"parallel scoring fell back from process workers to threads "
+            f"({kind}: {detail}); expect GIL-bound throughput",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+    @staticmethod
+    def _validate(triples: list[Triple]) -> bool:
         return bool(np.isfinite([score for _, _, score in triples]).all())
 
     def _absorb_worker_payload(self, payload):
@@ -485,28 +454,30 @@ class SupervisedExecutor:
         """One dispatch round on a pool; returns ``(chunk, kind, detail)`` failures."""
         health = self.health
         try:
-            executor, actual = self._executor_factory(
-                backend, max(1, min(self.n_jobs, len(todo)))
+            executor = make_executor(
+                backend,
+                max(1, min(self.n_jobs, len(todo))),
+                self.measure,
+                self.gallery,
+                self.queries,
+                arena_handle=self.arena_handle,
             )
         except Exception as exc:
-            # e.g. an un-picklable measure on the process rung.
+            # No arena, or an un-picklable measure on the process rung.
             return [
                 (k, "backend-unavailable", f"{type(exc).__name__}: {exc}")
                 for k in todo
             ]
-        if actual not in health.backends_used:
-            health.backends_used.append(actual)
+        if backend not in health.backends_used:
+            health.backends_used.append(backend)
 
         failed: list[tuple[int, str, str]] = []
         pool_broke = False
         hung = False
-        # On the process rung the task is wrapped so each result carries
-        # the worker's registry delta and span subtree home; thread and
-        # serial rungs share the parent registry/tracer, so wrapping
-        # there would double-count.
-        task = self.task
-        if actual == "process":
-            task = partial(_task_with_telemetry, self.task)
+        # On the process rung each result carries the worker's registry
+        # delta and span subtree home; thread and serial rungs share the
+        # parent registry/tracer, so wrapping there would double-count.
+        task = _score_chunk_with_telemetry if backend == "process" else _score_chunk
         futures = {executor.submit(task, chunks[k]): k for k in todo}
         remaining = set(futures)
         try:
@@ -565,7 +536,10 @@ class SupervisedExecutor:
                             )
                 remaining = not_done
         finally:
-            self._executor_release(executor, actual, healthy=not (hung or pool_broke))
+            if hung or pool_broke:
+                _kill_executor(executor, backend)
+            else:
+                executor.shutdown(wait=True, cancel_futures=True)
         if pool_broke:
             health.worker_crashes += 1
         health.errors += sum(1 for _, kind, _ in failed if kind == "error")
@@ -589,7 +563,7 @@ class SupervisedExecutor:
                 return
             attempt = self._attempts[k] + 1
             try:
-                triples = self.task(chunks[k])
+                triples = _score_chunk(chunks[k])
                 if not self._validate(triples):
                     health.corrupt_scores += 1
                     raise ScoreCorruptionError(
@@ -631,7 +605,7 @@ class SupervisedExecutor:
         for i, j in chunk:
             try:
                 score = float(self.measure.similarity(rows[i], self.gallery[j]))
-                if self.validate_scores and not np.isfinite(score):
+                if not np.isfinite(score):
                     raise ScoreCorruptionError(f"non-finite score for pair ({i}, {j})")
             except Exception:
                 score = float("nan")

@@ -3,8 +3,8 @@
 The runner scores the committed corpus's ``queries × gallery`` matrix
 through each shipped execution path and compares the results:
 
-* every *production* path (batch, thread/process parallel, shm,
-  persistent pool, anytime-unbounded, cluster 2×2) must be **bitwise**
+* every *production* path (batch, thread/process parallel,
+  anytime-unbounded, cluster 2×2) must be **bitwise**
   identical to the serial baseline — that is what their docstrings
   promise, and ulp drift of zero is the only acceptable outcome;
 * the *oracle* (:mod:`repro.verify.oracle`) is compared within the
@@ -13,7 +13,7 @@ through each shipped execution path and compares the results:
 
 Every path scores the rectangular ``queries × gallery`` matrix through
 the one Eq. 10 block kernel (:mod:`repro.core.kernel`) — as 1×1 blocks
-(serial), the whole matrix (batch), row/column blocks (parallel, pool,
+(serial), the whole matrix (batch), row/column blocks (parallel,
 cluster) or term by term with the kernel's reduction (anytime).  A
 kernel entry depends only on its pair, so bitwise equality holds by
 construction; the ``symmetry`` and ``block_invariance`` relations check
@@ -34,7 +34,6 @@ import numpy as np
 
 from ..cluster.service import ClusterService
 from ..obs.registry import get_registry
-from ..parallel.sts import ParallelSTS
 from ..serving.anytime import anytime_similarity
 from .corpus import VerificationCorpus, verification_corpus
 from .oracle import ORACLE_ATOL, OracleSTS
@@ -106,19 +105,7 @@ def _run_parallel_thread(corpus: VerificationCorpus) -> np.ndarray:
 def _run_parallel_process(corpus: VerificationCorpus) -> np.ndarray:
     return corpus.measure().pairwise(list(corpus.gallery),
                                      list(corpus.queries),
-                                     n_jobs=2, backend="process", shm=False)
-
-
-def _run_shm(corpus: VerificationCorpus) -> np.ndarray:
-    return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="process", shm=True)
-
-
-def _run_pool(corpus: VerificationCorpus) -> np.ndarray:
-    with ParallelSTS(corpus.measure(), n_jobs=2, backend="process",
-                     persistent=True) as pool:
-        return pool.pairwise(list(corpus.gallery), list(corpus.queries))
+                                     n_jobs=2, backend="process")
 
 
 def _run_anytime(corpus: VerificationCorpus) -> np.ndarray:
@@ -157,11 +144,9 @@ PATHS: Dict[str, PathSpec] = {
         PathSpec("batch", "STS.pairwise, single process", _run_batch),
         PathSpec("parallel-thread", "STS.pairwise n_jobs=2 backend=thread",
                  _run_parallel_thread),
-        PathSpec("parallel-process", "STS.pairwise n_jobs=2 backend=process",
+        PathSpec("parallel-process",
+                 "STS.pairwise n_jobs=2 backend=process, shared-memory corpus",
                  _run_parallel_process),
-        PathSpec("shm", "process backend with shared-memory gallery",
-                 _run_shm),
-        PathSpec("pool", "persistent ParallelSTS worker pool", _run_pool),
         PathSpec("anytime", "anytime_similarity with unbounded budget",
                  _run_anytime),
         PathSpec("cluster-2x2", "2-shard 2-replica ClusterService",

@@ -1,9 +1,8 @@
 """Shared fixtures: small deterministic trajectories, grids and corpora.
 
-Also the process-wide isolation layer: tests that flip
-``set_parallel_defaults`` or the ``REPRO_*`` environment switches used
-to leak into whichever test ran next; the autouse fixtures below
-snapshot and restore that state around every test.
+Also the process-wide isolation layer: tests that flip the ``REPRO_*``
+environment switches used to leak into whichever test ran next; the
+autouse fixture below snapshots and restores them around every test.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.core.grid import Grid
 from repro.core.trajectory import Trajectory, TrajectoryPoint
 from repro.datasets import mall_dataset, taxi_dataset
-from repro.parallel import get_parallel_defaults, set_parallel_defaults
 
 #: Environment switches that alter process-wide behavior when set.
 _REPRO_ENV_VARS = (
@@ -25,14 +23,6 @@ _REPRO_ENV_VARS = (
     "REPRO_CLUSTER_WORKER",
     "REPRO_CLUSTER_LOG_DIR",
 )
-
-
-@pytest.fixture(autouse=True)
-def _isolate_parallel_defaults():
-    """Snapshot/restore the process-wide shm/chunking defaults."""
-    saved = get_parallel_defaults()
-    yield
-    set_parallel_defaults(**saved)
 
 
 @pytest.fixture(autouse=True)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.sts import STS
-from repro.parallel import ParallelSTS
+from repro.parallel import ParallelSTS, SharedTrajectoryArena
 
 from .faults import FaultyMeasure
 
@@ -62,19 +63,9 @@ class ProcessAllergicMeasure:
 class TestNoLeakedSegments:
     def test_normal_run_leaves_no_segment(self, grid, gallery, clean_serial):
         before = _segments()
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert _segments() <= before
-
-    def test_persistent_close_releases_segment(self, grid, gallery, clean_serial):
-        before = _segments()
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, persistent=True
-        ) as wrapper:
-            out = wrapper.pairwise(gallery)
-            assert np.array_equal(out, clean_serial)
-            assert wrapper._arena is not None  # still broadcast while warm
         assert _segments() <= before
 
     def test_sigkilled_worker_leaves_no_segment(
@@ -85,7 +76,7 @@ class TestNoLeakedSegments:
             STS(grid), "crash", ("a", "c"), tmp_path / "crash.token"
         )
         wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", shm=True,
+            faulty, n_jobs=2, backend="process",
             max_retries=3, backoff_base=0.0,
         )
         out = wrapper.pairwise(gallery)
@@ -102,7 +93,7 @@ class TestNoLeakedSegments:
             hang_seconds=60.0,
         )
         wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", shm=True,
+            faulty, n_jobs=2, backend="process",
             chunk_timeout=1.5, max_retries=3, backoff_base=0.0,
         )
         out = wrapper.pairwise(gallery)
@@ -116,15 +107,43 @@ class TestNoLeakedSegments:
         before = _segments()
         wrapper = ParallelSTS(
             ProcessAllergicMeasure(STS(grid)),
-            n_jobs=2, backend="process", shm=True,
+            n_jobs=2, backend="process",
             max_retries=1, backoff_base=0.0,
         )
-        with pytest.warns(RuntimeWarning, match="falling back to the pickling"):
+        with pytest.warns(RuntimeWarning, match="from process workers to threads"):
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
         assert any(step.startswith("process->") for step in health.degradations)
         assert "thread" in health.backends_used
+        assert _segments() <= before
+
+
+    def test_pack_failure_degrades_to_threads_and_leaves_no_segment(
+        self, grid, gallery, clean_serial, monkeypatch
+    ):
+        # A platform without /dev/shm cannot pack the arena: the process
+        # rung cannot start, and the run degrades to threads, announced
+        # exactly once.
+        from repro.obs.registry import MetricsRegistry
+
+        def no_shm(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
+        before = _segments()
+        registry = MetricsRegistry()
+        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="auto", registry=registry)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = wrapper.pairwise(gallery)
+        assert np.array_equal(out, clean_serial)
+        assert wrapper.last_health.backends_used[-1] == "thread"
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "from process workers to threads" in str(runtime[0].message)
+        fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
+        assert sum(fallback.values()) == 1
         assert _segments() <= before
 
 
@@ -150,7 +169,7 @@ gallery = [
     ]
 ]
 serial = STS(grid).pairwise(gallery)
-parallel = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+parallel = ParallelSTS(STS(grid), n_jobs=2, backend="process")
 assert np.array_equal(parallel.pairwise(gallery), serial)
 print("OK")
 """

@@ -292,7 +292,6 @@ class TestNestedParallelismGuard:
             assert len(info) == n_shards * n_replicas
             for label, payload in info.items():
                 assert payload["resolved_n_jobs"] == 1, label
-                assert payload["scorer_n_jobs"] == 1, label
                 assert payload["child_processes"] == 0, label
             worker_pids = {pid for pid in svc.replica_pids().values() if pid}
             assert len(worker_pids) == n_shards * n_replicas

@@ -156,18 +156,6 @@ class TestBackendSelection:
         parallel = ParallelSTS(measure, n_jobs=2, backend="auto").pairwise(gallery)
         assert abs(parallel - serial).max() <= 1e-12
 
-    def test_process_backend_raises_for_unpicklable_measure_unsupervised(
-        self, grid, gallery
-    ):
-        from repro.core.speed import GaussianSpeedModel
-        from repro.core.transition import SpeedTransitionModel
-
-        measure = STS(grid, transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)))
-        with pytest.raises(Exception):
-            ParallelSTS(
-                measure, n_jobs=2, backend="process", supervised=False
-            ).pairwise(gallery)
-
     def test_process_backend_degrades_for_unpicklable_measure_supervised(
         self, grid, gallery
     ):

@@ -146,7 +146,7 @@ class TestRelations:
 
 
 class TestDiffRunner:
-    # In-process paths only: the process/shm/pool/cluster paths are
+    # In-process paths only: the process and cluster paths are
     # exercised by `repro verify` itself (run in the CI verify job).
     LIGHT_PATHS = ["batch", "parallel-thread", "anytime", "oracle"]
 
