@@ -38,6 +38,10 @@ __all__ = [
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+#: :class:`KDESpeedModel` sums its kernels exactly for rows of at most
+#: this many speeds and reads longer rows from its interpolation table.
+EXACT_ROW_MAX = 64
+
 
 def silverman_bandwidth(samples: np.ndarray, floor: float = 1e-3) -> float:
     """Silverman's rule-of-thumb bandwidth ``(4 σ̂^5 / (3 n))^{1/5}``.
@@ -153,8 +157,14 @@ class KDESpeedModel(SpeedModel):
         return self._kernel_mean(v)
 
     def _kernel_mean(self, v: np.ndarray | float) -> np.ndarray | float:
+        """Eq. 7 term of each speed in ``v``, exact or through the table.
+
+        The table serves rows of more than :data:`EXACT_ROW_MAX` speeds.
+        The choice is made by the length of the last axis, so each row of
+        a stacked call takes the path it would take alone.
+        """
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if self.approx and v_arr.size > 64:
+        if self.approx and v_arr.shape[-1] > EXACT_ROW_MAX:
             out = self._kernel_mean_interp(v_arr)
         else:
             out = self._kernel_mean_exact(v_arr)
@@ -165,8 +175,8 @@ class KDESpeedModel(SpeedModel):
             # Degenerate model: a single pseudo-sample at 0 m/s.
             z = v_arr / self.bandwidth
             return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        z = (v_arr[:, None] - self.samples[None, :]) / self.bandwidth
-        return (_INV_SQRT_2PI * np.exp(-0.5 * z * z)).mean(axis=1)
+        z = (v_arr[..., None] - self.samples) / self.bandwidth
+        return (_INV_SQRT_2PI * np.exp(-0.5 * z * z)).mean(axis=-1)
 
     def _kernel_mean_interp(self, v_arr: np.ndarray) -> np.ndarray:
         if self._table is None:

@@ -45,20 +45,24 @@ evaluated together, across segments:
   per-estimator canvas (sized for the trajectory's largest observation
   gap) and runs one stacked ``rfft2``/``irfft2`` round trip per chunk of
   queries, multiplying by each observation's cached noise-plane spectrum
-  in between.  :data:`FFT_CHUNK_BYTES` bounds a chunk's scratch, so a
+  in between.  A chunk evaluates its missing kernels with one
+  transition-weight call per canvas size and normalizes its queries as
+  one array.  :data:`FFT_CHUNK_BYTES` bounds a chunk's scratch, so a
   call's working set does not grow with its number of queries;
 * pruned/dense mode evaluates each segment's queries in one pass that
   builds the candidate set union and both distance matrices once.
 
 ``stp(t)`` is ``stp_batch([t])[0]``.  In FFT mode a query's distribution
 does not depend on the other queries of its call, so the chunking
-changes no result.  Kernels and noise-plane transforms are memoized in bounded LRU caches (see ``cache_size``), so
+changes no result.  Kernels (by their exact time gap) and noise-plane
+transforms are memoized in bounded LRU caches (see ``cache_size``), so
 long-lived estimators serving many queries stay fast without growing
-memory unboundedly.
+memory unboundedly, and a memoized value is bitwise the one computed.
 """
 
 from __future__ import annotations
 
+import itertools
 from time import perf_counter
 
 import numpy as np
@@ -69,6 +73,7 @@ from ..obs import get_registry
 from .cache import LRUCache
 from .grid import Grid
 from .noise import NoiseModel
+from .speed import EXACT_ROW_MAX
 from .transition import TransitionModel
 from .trajectory import Trajectory
 
@@ -89,17 +94,6 @@ _SPARSE_EPS = 1e-15
 #: its chunk length from its canvas shape (33 queries on a 30×30
 #: transform with an 11×11 canvas, 6 on a 60×60 one with a 55×55 canvas).
 FFT_CHUNK_BYTES = 1 << 20
-
-
-def _dt_key(dt: float) -> float:
-    """Cache key for a time gap: quantized to kill float jitter.
-
-    1e-12 s is far below any meaningful timestamp resolution, so distinct
-    physical gaps never collide, while gaps that differ only by float
-    round-off (``t - t_lo`` computed along different code paths) share one
-    kernel.
-    """
-    return round(dt, 12)
 
 
 def _segments(los: np.ndarray) -> list[tuple[int, slice]]:
@@ -195,7 +189,7 @@ class TrajectorySTP:
             lambda frac, floor: 0 if cache_size == 0 else max(floor, cache_size // frac)
         )
         self._cache = LRUCache(cache_size)  # query time -> SparseDistribution
-        self._kernel_cache = LRUCache(scaled(8, 64))  # (dt, span) -> kernel
+        self._kernel_cache = LRUCache(scaled(8, 64))  # (dt, canvas) -> kernel
         self._plane_fft_cache = LRUCache(scaled(16, 16))  # (idx, shape) -> rfft2
         self._segment_cache = LRUCache(scaled(16, 16))  # dense-mode geometry
 
@@ -205,8 +199,9 @@ class TrajectorySTP:
 
         ``bridge-interp`` is the inclusive wall time of bridged queries
         (Eq. 4), taken per FFT chunk or per pruned/dense segment;
-        ``kernel-fft`` and ``normalize`` are components within it on the
-        FFT path.
+        ``kernel-build`` (canvases, weights, embedding), ``kernel-fft``
+        (transforms and plane products) and ``normalize`` are its
+        components on the FFT path.
         """
         reg = registry if registry is not None else get_registry()
         self._registry = reg
@@ -215,6 +210,7 @@ class TrajectorySTP:
         )
         self._t_noise = stage.child(component="stp", stage="noise-eval")
         self._t_bridge = stage.child(component="stp", stage="bridge-interp")
+        self._t_build = stage.child(component="stp", stage="kernel-build")
         self._t_kernel = stage.child(component="stp", stage="kernel-fft")
         self._t_norm = stage.child(component="stp", stage="normalize")
         # Bound here so colocation_batch pays no per-call instrument lookup.
@@ -482,13 +478,12 @@ class TrajectorySTP:
         the dense mode up to FFT round-off.
 
         Each kernel is drawn on the smallest canvas from a geometric size
-        series covering its own transition radius (so it depends only on
-        its own ``dt`` and is cacheable), then embedded, centered, on the
-        estimator's fixed convolution canvas (see :meth:`_fft_geometry`).
-        The chunk's forward kernels (plane ``lo``) and backward kernels
-        (plane ``lo + 1``) take one stacked ``rfft2``; each segment's run
-        of spectra is multiplied by its noise-plane spectrum, and one
-        ``irfft2`` returns every convolution.
+        series covering its own transition radius and embedded, centered,
+        on the estimator's fixed convolution canvas (:meth:`_kernel_stack`,
+        see :meth:`_fft_geometry`).  The chunk's forward kernels (plane
+        ``lo``) and backward kernels (plane ``lo + 1``) take one stacked
+        ``rfft2``; each segment's run of spectra is multiplied by its
+        noise-plane spectrum, and one ``irfft2`` returns every convolution.
 
         The circular transforms are sized ``n + half`` per axis, not the
         full linear-convolution length ``n + 2·half``: the full convolution
@@ -505,13 +500,8 @@ class TrajectorySTP:
         n_rows, n_cols = self.grid.n_rows, self.grid.n_cols
         half_r, half_c, fft_shape, _ = self._fft_geometry()
         q = len(ts)
-        dts = np.concatenate([ts - stamps[los], stamps[los + 1] - ts])
-        rows_halves, cols_halves = self._kernel_halves(dts)
-        stack = np.zeros((2 * q, 2 * half_r + 1, 2 * half_c + 1))
-        for i in range(2 * q):
-            h_r, h_c = int(rows_halves[i]), int(cols_halves[i])
-            kernel = self._radial_kernel(float(dts[i]), h_r, h_c)
-            stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernel
+        stack = self._kernel_stack(np.concatenate([ts - stamps[los], stamps[los + 1] - ts]))
+        t1 = perf_counter()
         spectra = _fft.rfft2(stack, s=fft_shape)
         del stack
         planes = self._plane_spectra(np.union1d(los, los + 1).tolist(), fft_shape)
@@ -524,27 +514,85 @@ class TrajectorySTP:
             :, half_r : half_r + n_rows, half_c : half_c + n_cols
         ]
         del spectra
-        t1 = perf_counter()
-        self._t_kernel.inc(t1 - t0)
-        results: list[SparseDistribution] = []
-        for i in range(q):
-            unnorm = (conv[i] * conv[q + i]).ravel()
-            np.clip(unnorm, 0.0, None, out=unnorm)
-            total = float(unnorm.sum())
-            if total <= 0.0 or not np.isfinite(total):
-                results.append(self._fallback(float(ts[i]), int(los[i])))
-                continue
-            probs = unnorm / total
-            cells = np.nonzero(probs > _SPARSE_EPS)[0]
-            if cells.size == 0:
-                results.append(self._fallback(float(ts[i]), int(los[i])))
-                continue
-            kept = probs[cells]
-            results.append((cells, kept / kept.sum()))
         t2 = perf_counter()
-        self._t_norm.inc(t2 - t1)
-        self._t_bridge.inc(t2 - t0)
+        unnorm = (conv[:q] * conv[q:]).reshape(q, -1)
+        del conv
+        results = self._normalize(unnorm, los, ts)
+        t3 = perf_counter()
+        self._t_build.inc(t1 - t0)
+        self._t_kernel.inc(t2 - t1)
+        self._t_norm.inc(t3 - t2)
+        self._t_bridge.inc(t3 - t0)
         return results
+
+    def _normalize(
+        self, unnorm: np.ndarray, los: np.ndarray, ts: np.ndarray
+    ) -> list[SparseDistribution]:
+        """Each row of ``unnorm`` (one query's forward × backward) as a distribution.
+
+        Negative FFT round-off is clipped, each row is divided by its sum,
+        entries at or below :data:`_SPARSE_EPS` are dropped and the kept
+        entries are renormalized.  A row without usable mass falls back to
+        :meth:`_fallback`.
+
+        ``unnorm`` is C-contiguous, so ``sum(axis=1)`` is bitwise each
+        row's own ``.sum()``.  The renormalization sums each row's kept
+        entries on their own: a masked full-row sum would group the
+        pairwise sum differently.  Every result owns its arrays, so the
+        result cache pins nothing chunk-wide.
+        """
+        n_cells = unnorm.shape[1]
+        np.clip(unnorm, 0.0, None, out=unnorm)
+        totals = unnorm.sum(axis=1)
+        usable = (totals > 0.0) & np.isfinite(totals)
+        unnorm /= np.where(usable, totals, 1.0)[:, None]
+        keep = unnorm > _SPARSE_EPS
+        keep[~usable] = False
+        flat = np.flatnonzero(keep)
+        kept = unnorm.ravel()[flat]
+        bounds = np.searchsorted(flat, n_cells * np.arange(len(ts) + 1)).tolist()
+        results: list[SparseDistribution] = []
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a == b:
+                results.append(self._fallback(float(ts[i]), int(los[i])))
+            else:
+                probs = kept[a:b]
+                results.append((flat[a:b] - i * n_cells, probs / np.add.reduce(probs)))
+        return results
+
+    def _kernel_stack(self, dts: np.ndarray) -> np.ndarray:
+        """The transition kernel of each gap in ``dts``, centered on the fixed canvas.
+
+        Kernel ``i`` holds ``h·Q̂(d / dts[i])`` over the cell offsets of
+        the smallest canvas from :meth:`_span_buckets` that covers
+        ``dts[i]``'s own transition radius, so it depends on its own ``dt``
+        alone.  Kernels are memoized by exact ``dt`` and canvas, looked up
+        once per distinct gap.  The misses of each canvas are evaluated in
+        one :meth:`~.transition.TransitionModel.distance_weights_batch`
+        call on its lattice points and scattered onto the canvas with the
+        lattice's index (:meth:`_canvas_lattice`).
+        """
+        half_r, half_c = self._fft_geometry()[:2]
+        stack = np.zeros((dts.size, 2 * half_r + 1, 2 * half_c + 1))
+        gaps, gap_of = np.unique(dts, return_inverse=True)
+        canvases = list(zip(*(halves.tolist() for halves in self._kernel_halves(gaps))))
+        keys = [(gap, *canvas) for gap, canvas in zip(gaps.tolist(), canvases)]
+        kernels = [self._kernel_cache.get(key) for key in keys]
+        missing = [j for j, kernel in enumerate(kernels) if kernel is None]
+        # The gaps are sorted and a radius grows with its gap, so the
+        # misses of one canvas normally form one group.
+        for (h_r, h_c), group in itertools.groupby(missing, key=canvases.__getitem__):
+            group = list(group)
+            points, lattice = self._canvas_lattice(h_r, h_c)
+            weights = self.transition_model.distance_weights_batch(points, gaps[group])
+            shape = (len(group), 2 * h_r + 1, 2 * h_c + 1)
+            for j, kernel in zip(group, weights.take(lattice, axis=1).reshape(shape)):
+                kernels[j] = kernel.copy()  # a cached kernel must not pin its batch
+                self._kernel_cache.put(keys[j], kernels[j])
+        for i, j in enumerate(gap_of.tolist()):
+            h_r, h_c = canvases[j]
+            stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernels[j]
+        return stack
 
     def _fft_geometry(self) -> tuple[int, int, tuple[int, int], int]:
         """Fixed canvas half-extents, circular-transform shape, chunk length.
@@ -585,7 +633,7 @@ class TrajectorySTP:
         so only a handful of kernel shapes exist per grid.
         """
         grid = self.grid
-        radii = np.array([self.transition_model.reachable_radius(float(d)) for d in dts])
+        radii = self.transition_model.reachable_radius(dts)
         spans = np.ceil(radii / grid.cell_size).astype(np.int64) + 1
         series = self._span_buckets()
         buckets = series[np.minimum(np.searchsorted(series, spans), series.size - 1)]
@@ -632,50 +680,30 @@ class TrajectorySTP:
             self._m_plane_transforms.inc(len(missing))
         return spectra
 
-    def _canvas_lattice(
-        self, rows_half: int, cols_half: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Offset-distance lattice of a kernel canvas, with its unique values.
+    def _canvas_lattice(self, rows_half: int, cols_half: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distances at which a kernel canvas is evaluated, and their layout.
 
-        Returns ``(dist, unique, inverse)``: the dense distance canvas, its
-        sorted unique distances and the inverse mapping (``unique[inverse]``
-        rebuilds ``dist.ravel()``).  The lattice depends only on the canvas
-        shape, so it is cached across every ``dt`` sharing a bucket.
+        Returns ``(points, lattice)``: ``points[lattice]`` is the canvas's
+        offset-distance lattice, flattened.  The lattice is 8-fold
+        symmetric, so ``points`` is normally its unique distances.  The
+        speed model picks its exact sum or its table by how many values a
+        row asks for (``KDESpeedModel`` takes the table above
+        :data:`~.speed.EXACT_ROW_MAX`), and the path must depend on the
+        canvas alone: a canvas of more cells than that, but with no more
+        unique distances, is evaluated at every cell.  Cached per canvas
+        shape, across every ``dt`` sharing it.
         """
 
-        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def build() -> tuple[np.ndarray, np.ndarray]:
             dx = np.arange(-cols_half, cols_half + 1)
             dy = np.arange(-rows_half, rows_half + 1)
-            dist = np.hypot(dx[None, :], dy[:, None]) * self.grid.cell_size
-            unique, inverse = np.unique(dist.ravel(), return_inverse=True)
-            return dist, unique, inverse
+            dist = (np.hypot(dx[None, :], dy[:, None]) * self.grid.cell_size).ravel()
+            unique, inverse = np.unique(dist, return_inverse=True)
+            if unique.size <= EXACT_ROW_MAX < dist.size:
+                return dist, np.arange(dist.size)
+            return unique, inverse
 
         return self._kernel_cache.get_or_compute(("lattice", rows_half, cols_half), build)
-
-    def _radial_kernel(self, dt: float, rows_half: int, cols_half: int) -> np.ndarray:
-        """Transition weights between cell offsets, as an odd-sized kernel.
-
-        ``rows_half``/``cols_half`` fix the canvas (the segment-level
-        full-gap extent), so kernels for every ``dt`` within a segment
-        share one shape.  Memoized by quantized ``(dt, canvas)``.
-
-        The canvas holds far fewer *distinct* distances than points (the
-        lattice is 8-fold symmetric), so the transition model is evaluated
-        on the unique distances and scattered back — but only when the
-        unique set is large enough (> 64) to take the same vectorized path
-        a full-canvas evaluation would, keeping results bitwise identical.
-        """
-
-        def build() -> np.ndarray:
-            dist, unique, inverse = self._canvas_lattice(rows_half, cols_half)
-            if unique.size > 64:
-                weights = self.transition_model.distance_weights(unique, dt)
-                return weights[inverse].reshape(dist.shape)
-            return self.transition_model.distance_weights(dist, dt)
-
-        return self._kernel_cache.get_or_compute(
-            (_dt_key(dt), rows_half, cols_half), build
-        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -711,7 +739,7 @@ class TrajectorySTP:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         for key in (
-            "_registry", "_t_noise", "_t_bridge", "_t_kernel", "_t_norm",
+            "_registry", "_t_noise", "_t_bridge", "_t_build", "_t_kernel", "_t_norm",
             "_t_coloc_resolve", "_t_coloc_inner",
             "_m_plane_transforms", "_m_canvas_reuse",
         ):

@@ -39,7 +39,7 @@ class TransitionModel(ABC):
     #: Whether the weight depends on the locations only through their
     #: distance.  Isotropic models unlock the FFT-convolution evaluation of
     #: Eq. 4 (see :mod:`repro.core.stprob`), which must then implement
-    #: :meth:`distance_weights`.
+    #: :meth:`distance_weights` and :meth:`distance_weights_batch`.
     isotropic: bool = False
 
     @abstractmethod
@@ -50,9 +50,22 @@ class TransitionModel(ABC):
         """Weights as a function of distance alone (isotropic models only)."""
         raise NotImplementedError(f"{type(self).__name__} is not isotropic")
 
+    def distance_weights_batch(self, distances: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        """:meth:`distance_weights` of 1-D ``distances`` at each gap of ``dts``.
+
+        Returns ``(len(dts), len(distances))`` weights whose row ``i`` is
+        bitwise ``distance_weights(distances, dts[i])`` (isotropic models
+        only).
+        """
+        raise NotImplementedError(f"{type(self).__name__} is not isotropic")
+
     @abstractmethod
     def reachable_radius(self, dt: float) -> float:
-        """Distance beyond which a transition over ``dt`` is negligible."""
+        """Distance beyond which a transition over ``dt`` is negligible.
+
+        Isotropic models also take an array of gaps and return one radius
+        per gap.
+        """
 
 
 class SpeedTransitionModel(TransitionModel):
@@ -81,16 +94,30 @@ class SpeedTransitionModel(TransitionModel):
         return self.distance_weights(dist, dt)
 
     def distance_weights(self, distances: np.ndarray, dt: float) -> np.ndarray:
-        if dt < 0:
-            raise ValueError(f"time gap must be non-negative, got {dt}")
         distances = np.asarray(distances, dtype=float)
-        if dt <= self.zero_dt_tolerance:
-            return (distances <= self.zero_dt_tolerance).astype(float)
-        flat = np.asarray(self.speed_model.transition_weight(distances.ravel() / dt))
-        return flat.reshape(distances.shape)
+        return self.distance_weights_batch(distances.ravel(), np.array([dt]))[0].reshape(
+            distances.shape
+        )
 
-    def reachable_radius(self, dt: float) -> float:
-        return self.speed_model.max_plausible_speed() * max(dt, 0.0)
+    def distance_weights_batch(self, distances: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        """One row of weights per gap of ``dts`` over the 1-D ``distances``.
+
+        Each row asks the speed model for ``len(distances)`` speeds, as a
+        lone :meth:`distance_weights` call over the same distances does,
+        so every row is bitwise that call.
+        """
+        distances = np.asarray(distances, dtype=float)
+        dts = np.asarray(dts, dtype=float)
+        if (dts < 0).any():
+            raise ValueError(f"time gap must be non-negative, got {dts.min()}")
+        zero = dts <= self.zero_dt_tolerance
+        # Zero-gap rows are evaluated at a stand-in gap, then replaced.
+        out = self.speed_model.transition_weight(distances / np.where(zero, 1.0, dts)[:, None])
+        out[zero] = distances <= self.zero_dt_tolerance
+        return out
+
+    def reachable_radius(self, dt: float | np.ndarray) -> float | np.ndarray:
+        return self.speed_model.max_plausible_speed() * np.maximum(dt, 0.0)
 
     def __repr__(self) -> str:
         return f"SpeedTransitionModel({self.speed_model!r})"

@@ -55,15 +55,16 @@ class VerificationCorpus:
     queries: Tuple[Trajectory, ...]
     seed: int = CORPUS_SEED
 
-    def measure(self, registry=None) -> STS:
+    def measure(self, registry=None, **options) -> STS:
         """A *fresh* production measure over this corpus.
 
         A new instance per call keeps differential runs independent —
-        no path ever observes another path's warm caches.
+        no path ever observes another path's warm caches.  ``options``
+        go to :class:`STS` (e.g. ``stp_cache_size=0``).
         """
         return STS(self.grid,
                    noise_model=GaussianNoiseModel(self.sigma),
-                   registry=registry)
+                   registry=registry, **options)
 
     def fingerprint(self) -> str:
         """Stable sha256 over the corpus geometry and parameters."""

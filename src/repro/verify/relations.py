@@ -41,6 +41,12 @@ Catalogue (equation references are to PAPER.md):
     Degradation rungs are valid lower-fidelity answers: a coarsened-grid
     score is still a score in [0, 1], and the filter-only interval
     contains the exact full-fidelity score.
+``cache_invariance``
+    Memoization changes no bit: with the queries shifted by 0.1 s, so
+    that time gaps computed along different paths differ by round-off,
+    every query × gallery score of a default measure equals the score of
+    a measure with ``stp_cache_size=0`` and of a measure that scores the
+    pairs in reverse order, warming its caches as it goes (bitwise).
 """
 
 from __future__ import annotations
@@ -296,6 +302,27 @@ def _run_coarse_rungs(corpus: VerificationCorpus) -> List[RelationResult]:
     return out
 
 
+def _run_cache_invariance(corpus: VerificationCorpus) -> List[RelationResult]:
+    queries = [_shifted(q, 0.1) for q in corpus.queries]
+    pairs = [(q, g) for q in queries for g in corpus.gallery]
+    default = corpus.measure()
+    expect = [default.similarity(q, g) for q, g in pairs]
+    cold = corpus.measure(stp_cache_size=0)
+    uncached = [cold.similarity(q, g) for q, g in pairs]
+    warm = corpus.measure()
+    backward = [warm.similarity(q, g) for q, g in reversed(pairs)][::-1]
+    out = []
+    for (q, g), base, off, rev in zip(pairs, expect, uncached, backward):
+        case = f"{q.object_id}+0.1s~{g.object_id}"
+        out.append(_result("cache_invariance", f"{case}:no-cache",
+                           abs(base - off), 0.0,
+                           detail=f"default={base!r} no-cache={off!r}"))
+        out.append(_result("cache_invariance", f"{case}:reverse-order",
+                           abs(base - rev), 0.0,
+                           detail=f"forward={base!r} reverse={rev!r}"))
+    return out
+
+
 RELATIONS: Dict[str, Relation] = {
     rel.name: rel
     for rel in (
@@ -321,6 +348,10 @@ RELATIONS: Dict[str, Relation] = {
         Relation("coarse_rungs", "Eqs. 9–10",
                  "degraded rungs stay valid lower-fidelity answers",
                  _run_coarse_rungs),
+        Relation("cache_invariance", "Eqs. 4–5",
+                 "memoized kernels and results change no score: default "
+                 "= no cache = reverse pair order, bitwise",
+                 _run_cache_invariance),
     )
 }
 

@@ -46,6 +46,13 @@ class TestScoringMetrics:
 
         stages = snap["counters"]["repro_stage_seconds_total"]
         assert stages['component="stp",stage="bridge-interp"'] > 0.0
+        # On the FFT path, bridge-interp is exactly its three components.
+        parts = [
+            stages[f'component="stp",stage="{name}"']
+            for name in ("kernel-build", "kernel-fft", "normalize")
+        ]
+        assert min(parts) > 0.0
+        assert sum(parts) == pytest.approx(stages['component="stp",stage="bridge-interp"'])
         assert stages['component="sts",stage="prewarm"'] > 0.0
         assert stages['component="sts",stage="pair-loop"'] > 0.0
 

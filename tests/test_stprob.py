@@ -2,11 +2,14 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import stprob
+from repro.core import STS, stprob
 from repro.core.grid import Grid
 from repro.core.noise import DeterministicNoiseModel, GaussianNoiseModel
 from repro.core.speed import GaussianSpeedModel, KDESpeedModel
@@ -285,3 +288,176 @@ class TestFFTChunks:
 
         few, many = scratch(10), scratch(200)
         assert many < 1.25 * few, (few, many)
+
+
+def reference_fft_chunk(stp, los, ts):
+    """Eq. 4 for one FFT chunk, one kernel and one query at a time.
+
+    The per-query loop that ``TrajectorySTP._fft_chunk`` batches, kept as
+    its reference.  Each kernel is evaluated at its own ``dt``: on its
+    canvas's unique lattice distances when there are more than 64 of
+    them, else on the whole canvas.  Each is embedded with its own slice
+    assignment, and each query is normalized in its own pass.
+    """
+    stamps = stp.trajectory.timestamps
+    grid, model = stp.grid, stp.transition_model
+    half_r, half_c, fft_shape, _ = stp._fft_geometry()
+    series = stp._span_buckets()
+    q = len(ts)
+    dts = np.concatenate([ts - stamps[los], stamps[los + 1] - ts])
+    stack = np.zeros((2 * q, 2 * half_r + 1, 2 * half_c + 1))
+    for i, dt in enumerate(dts.tolist()):
+        span = int(np.ceil(model.reachable_radius(dt) / grid.cell_size)) + 1
+        bucket = int(series[min(np.searchsorted(series, span), series.size - 1)])
+        h_r, h_c = min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
+        dx, dy = np.arange(-h_c, h_c + 1), np.arange(-h_r, h_r + 1)
+        dist = np.hypot(dx[None, :], dy[:, None]) * grid.cell_size
+        unique, inverse = np.unique(dist.ravel(), return_inverse=True)
+        if unique.size > 64:
+            kernel = model.distance_weights(unique, dt)[inverse].reshape(dist.shape)
+        else:
+            kernel = model.distance_weights(dist, dt)
+        stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernel
+    spectra = stprob._fft.rfft2(stack, s=fft_shape)
+    planes = stp._plane_spectra(np.union1d(los, los + 1).tolist(), fft_shape)
+    for lo, group in stprob._segments(los):
+        spectra[group] *= planes[lo]
+        spectra[q + group.start : q + group.stop] *= planes[lo + 1]
+    conv = stprob._fft.irfft2(spectra, s=fft_shape)[
+        :, half_r : half_r + grid.n_rows, half_c : half_c + grid.n_cols
+    ]
+    results = []
+    for i in range(q):
+        unnorm = (conv[i] * conv[q + i]).ravel()
+        np.clip(unnorm, 0.0, None, out=unnorm)
+        total = float(unnorm.sum())
+        if total <= 0.0 or not np.isfinite(total):
+            results.append(stp._fallback(float(ts[i]), int(los[i])))
+            continue
+        probs = unnorm / total
+        cells = np.nonzero(probs > stprob._SPARSE_EPS)[0]
+        if cells.size == 0:
+            results.append(stp._fallback(float(ts[i]), int(los[i])))
+            continue
+        kept = probs[cells]
+        results.append((cells, kept / kept.sum()))
+    return results
+
+
+def _speed_model(kind, traj, approx):
+    if kind == "own":
+        return KDESpeedModel.from_trajectory(traj, approx=approx)
+    if kind == "no-samples":  # degenerate KDE: one pseudo-sample at 0 m/s
+        return KDESpeedModel([], approx=approx)
+    if kind == "too-slow":  # every weight underflows: the _fallback rows
+        return KDESpeedModel([0.1], bandwidth=0.001, approx=approx)
+    return GaussianSpeedModel(1.5, 0.8)  # STS-B
+
+
+@st.composite
+def bridged_cases(draw):
+    """A trajectory on ``GRID_20x10``, its transition model and query times."""
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.05, 9.0), min_size=n - 1, max_size=n - 1))
+    stamps = draw(st.floats(0.0, 15.0)) + np.cumsum([0.0] + gaps)
+    if draw(st.booleans()):  # stationary: zero speed samples
+        xs = np.full(n, draw(st.floats(0.0, 40.0)))
+        ys = np.full(n, draw(st.floats(0.0, 20.0)))
+    else:  # anywhere, grid edges included: mass clipped at the edge
+        xs = np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n)))
+        ys = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
+    traj = Trajectory.from_arrays(xs, ys, stamps)
+    kind = draw(st.sampled_from(["own", "own", "no-samples", "too-slow", "gaussian"]))
+    model = SpeedTransitionModel(
+        _speed_model(kind, traj, approx=draw(st.booleans())),
+        zero_dt_tolerance=draw(st.sampled_from([1e-9, 0.4])),
+    )
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    times = stamps[0] + np.array(fractions) * (stamps[-1] - stamps[0])
+    # Just past an observation: a gap within the zero-dt tolerance.
+    times = np.concatenate([times, stamps[:-1] + 1e-10])
+    return traj, model, times
+
+
+GRID_20x10 = Grid(0, 0, 40, 20, cell_size=2.0)
+
+
+class TestBatchedChunk:
+    """The batched FFT chunk is bitwise the per-query loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=bridged_cases(), split=st.floats(0.0, 1.0))
+    def test_stp_batch_matches_per_query_reference(self, case, split):
+        traj, model, times = case
+        batched = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model, mode="fft")
+        looped = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model, mode="fft")
+        looped._fft_chunk = types.MethodType(reference_fft_chunk, looped)
+        cut = int(split * times.size)
+        for part in (times[:cut], times[cut:], times):
+            if part is times:  # resolve again, every kernel from the memo
+                batched._cache.clear()
+                looped._cache.clear()
+            got, want = batched.stp_batch(part), looped.stp_batch(part)
+            for (cells, probs), (ref_cells, ref_probs) in zip(got, want):
+                assert cells.tobytes() == ref_cells.tobytes()
+                assert probs.tobytes() == ref_probs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 70),
+        cols=st.integers(1, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_sums_of_a_contiguous_product_are_per_row_sums(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, 2 * rows, cols))
+        prod = a[:rows] * b[rows:]
+        totals = prod.sum(axis=1)
+        for i in range(rows):
+            assert totals[i].tobytes() == prod[i].sum().tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 130),
+        samples=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_mean_of_stacked_rows_is_each_rows_mean(self, rows, cols, samples, seed):
+        rng = np.random.default_rng(seed)
+        model = KDESpeedModel(rng.uniform(0.0, 10.0, samples), approx=False)
+        speeds = rng.uniform(0.0, 12.0, (rows, cols))
+        stacked = model._kernel_mean_exact(speeds)  # mean(axis=-1) over a 3-D array
+        for i in range(rows):
+            assert stacked[i].tobytes() == model._kernel_mean_exact(speeds[i]).tobytes()
+
+
+class TestKernelMemo:
+    """A memoized kernel is the kernel of its own exact gap."""
+
+    @staticmethod
+    def _fleet():
+        """15 s reports with fractional phase offsets, so gaps computed
+        along different paths differ by round-off."""
+        rng = np.random.default_rng(11)
+        fleet = []
+        for k in range(8):
+            stamps = 0.1 + 1.7 * k + 15.0 * np.arange(10)
+            path = np.cumsum(rng.normal(0.0, 40.0, (10, 2)), axis=0) + 300.0
+            fleet.append(Trajectory.from_arrays(path[:, 0], path[:, 1], stamps, f"t{k}"))
+        return fleet
+
+    def test_memo_changes_no_bit(self):
+        grid = Grid(0, 0, 600, 600, cell_size=25.0)
+        fleet = self._fleet()
+        queries, gallery = fleet[::2], fleet[1::2]
+        default = STS(grid).pairwise(gallery, queries=queries)
+        uncached = STS(grid, stp_cache_size=0).pairwise(gallery, queries=queries)
+        assert default.tobytes() == uncached.tobytes()
+
+        pairs = [(a, b) for a in fleet for b in fleet if a is not b]
+        forward = STS(grid)
+        ahead = [forward.similarity(a, b) for a, b in pairs]
+        warm = STS(grid)
+        behind = [warm.similarity(a, b) for a, b in reversed(pairs)][::-1]
+        assert np.array(ahead).tobytes() == np.array(behind).tobytes()
