@@ -1,9 +1,10 @@
-"""Filter-and-refine effectiveness: how much gallery work the index saves.
+"""Filter-and-refine effectiveness: how much gallery work the filters save.
 
 Not a paper figure — the engineering complement to Section V-C: the STS
 measure is expensive per pair, so candidate filtering determines whether a
-deployment scales.  Measures (a) exhaustive scan vs (b) indexed query
-latency on the taxi gallery, and asserts the filters lose no true match.
+deployment scales.  Measures (a) exhaustive scan vs (b) filtered query
+latency on the taxi gallery (time overlap, then the query's 3-cell-dilated
+cell signature), and asserts the filters lose no true match.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.core.noise import GaussianNoiseModel
 from repro.core.sts import STS
 from repro.eval import build_matching_pair, grid_covering
-from repro.index import TrajectoryIndex
+from repro.index import FilteredMatcher
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +23,8 @@ def linking_setup(request):
     corpus = queries + gallery
     grid = grid_covering(corpus, dataset.cell_size, dataset.margin)
     measure = STS(grid, noise_model=GaussianNoiseModel(dataset.location_error))
-    index = TrajectoryIndex(grid, dilation=3)
-    index.add_all(gallery)
-    return queries, gallery, measure, index
+    matcher = FilteredMatcher(measure, grid=grid, spatial_slack=None, signature_dilation=3)
+    return queries, gallery, measure, matcher
 
 
 def exhaustive_best(measure, query, gallery) -> int:
@@ -41,23 +41,23 @@ def test_exhaustive_scan(benchmark, linking_setup):
     assert 0 <= best < len(gallery)
 
 
-def test_indexed_query(benchmark, linking_setup):
-    queries, gallery, measure, index = linking_setup
+def test_filtered_query(benchmark, linking_setup):
+    queries, gallery, _, matcher = linking_setup
     query = queries[0]
 
-    def indexed_best():
-        matches = index.query(query, measure, k=1)
+    def filtered_best():
+        matches = matcher.query(query, gallery, k=1).matches
         return matches[0].index if matches else -1
 
-    best = benchmark.pedantic(indexed_best, rounds=2, iterations=1)
+    best = benchmark.pedantic(filtered_best, rounds=2, iterations=1)
     assert best == 0  # the true counterpart
 
-    # Coverage: across all queries, the index never drops the true match,
-    # and filters a substantial share of candidates.
+    # Coverage: across all queries, the filters never drop the true match,
+    # and discard a substantial share of candidates.
     scored = 0
     for qid, q in enumerate(queries):
-        candidates = index.candidates(q)
-        assert qid in candidates, f"index dropped the true match of query {qid}"
+        candidates = matcher.candidates(q, gallery)
+        assert qid in candidates, f"filters dropped the true match of query {qid}"
         scored += len(candidates)
     filter_rate = 1.0 - scored / (len(queries) * len(gallery))
-    assert filter_rate > 0.2, f"index filtered only {filter_rate:.0%}"
+    assert filter_rate > 0.2, f"filters discarded only {filter_rate:.0%}"

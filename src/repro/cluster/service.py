@@ -32,9 +32,9 @@ cannot:
   :class:`ClusterReport`.  Partial results are explicit, never silent.
 
 Per-replica :class:`~repro.serving.CircuitBreaker`\\ s keep a flapping
-replica from being retried on every query, and a ``request_timeout_s``
-backstop converts a *hung* (not dead) shard into a skip instead of a
-hang even on unbudgeted queries.
+replica from being retried on every query, and a
+:data:`REQUEST_TIMEOUT_S` backstop converts a *hung* (not dead) shard
+into a skip instead of a hang even on unbudgeted queries.
 
 When every replica is healthy the gathered scores are bitwise identical
 to the single-process path: workers score the exact float64 arrays the
@@ -73,6 +73,16 @@ __all__ = ["ClusterReport", "ClusterService"]
 
 #: Coverage histogram buckets: fraction of the gallery consulted.
 _COVERAGE_BUCKETS = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+#: Wait before restarting a dead replica: ``RESTART_BACKOFF_BASE *
+#: 2**restarts`` seconds, capped at :data:`RESTART_BACKOFF_MAX`.
+RESTART_BACKOFF_BASE = 0.05
+RESTART_BACKOFF_MAX = 1.0
+
+#: Backstop per shard attempt: a replica that neither answers nor dies
+#: within this many seconds is treated as failed (hung), so even an
+#: unbudgeted query cannot hang on a wedged shard.
+REQUEST_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -251,13 +261,6 @@ class ClusterService:
         Hedge delay used before enough latency samples accumulate.
     max_restarts:
         Restart budget *per replica*; 0 disables restarts.
-    request_timeout_s:
-        Backstop per shard attempt: a replica that neither answers nor
-        dies within this window is treated as failed (hung), so even an
-        unbudgeted query cannot hang on a wedged shard.
-    breaker:
-        Per-replica :class:`~repro.serving.CircuitBreaker` (a default
-        one is built when omitted).
     log_dir:
         Directory for per-worker log files (default: the
         ``REPRO_CLUSTER_LOG_DIR`` environment variable, if set).  The CI
@@ -279,28 +282,17 @@ class ClusterService:
         hedge: bool = True,
         hedge_initial_ms: float = 50.0,
         max_restarts: int = 2,
-        restart_backoff_base: float = 0.05,
-        restart_backoff_max: float = 1.0,
-        request_timeout_s: float = 30.0,
-        breaker: CircuitBreaker | None = None,
         registry=None,
         log_dir: str | None = None,
         worker_faults: dict | None = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
     ):
         self.measure = measure
         self.plan = plan if plan is not None else ShardPlan(n_shards, n_replicas)
         self.hedge = bool(hedge)
         self.max_restarts = int(max_restarts)
-        self.restart_backoff_base = float(restart_backoff_base)
-        self.restart_backoff_max = float(restart_backoff_max)
-        self.request_timeout_s = float(request_timeout_s)
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            threshold=1, cooldown_base=0.25, cooldown_max=5.0, clock=clock
-        )
-        self.clock = clock
-        self.sleep = sleep
+        # One timeout trips a replica's breaker: a query fails over to a
+        # sibling at once instead of waiting on the same replica again.
+        self.breaker = CircuitBreaker(threshold=1, cooldown_base=0.25, cooldown_max=5.0)
         self._log_dir = log_dir or os.environ.get("REPRO_CLUSTER_LOG_DIR")
         self._worker_faults = dict(worker_faults or {})
         self._latency = _LatencyTracker(initial_s=hedge_initial_ms / 1000.0)
@@ -374,8 +366,8 @@ class ClusterService:
                 self._arenas[shard] = SharedTrajectoryArena.pack(
                     self._shard_galleries[shard], registry=reg
                 )
-            except Exception:
-                self._arenas[shard] = None  # fallback: ship the list itself
+            except OSError:
+                self._arenas[shard] = None  # no shared memory: ship the list itself
 
         # ---- spawn the worker group ----------------------------------
         self._replicas: dict[tuple[int, int], _Replica] = {}
@@ -450,12 +442,7 @@ class ClusterService:
         """Restart a dead replica if its restart budget allows."""
         if handle.restarts >= self.max_restarts:
             return False
-        delay = min(
-            self.restart_backoff_max,
-            self.restart_backoff_base * (2 ** handle.restarts),
-        )
-        if delay > 0:
-            self.sleep(delay)
+        time.sleep(min(RESTART_BACKOFF_MAX, RESTART_BACKOFF_BASE * (2 ** handle.restarts)))
         handle.restarts += 1
         # Restarted incarnations never re-apply the injected fault: the
         # chaos harness kills a worker once, and the replacement is clean.
@@ -544,7 +531,7 @@ class ClusterService:
             return False
         if span is not None:
             self._qtrace["spans"][req_id] = span
-        now = self.clock()
+        now = time.monotonic()
         if sc.first_sent_at is None:
             sc.first_sent_at = now
         sc.tried.add(handle.replica)
@@ -613,7 +600,7 @@ class ClusterService:
         report = ClusterReport(
             gallery_size=len(self.gallery), shards_total=0
         )
-        t0 = self.clock()
+        t0 = time.monotonic()
 
         # Group requested columns by owning shard.
         per_shard: dict[int, _ShardCall] = {}
@@ -653,7 +640,7 @@ class ClusterService:
                 )
         report.shards_skipped = tuple(sorted(report.shards_skipped))
         report.shards_degraded = tuple(sorted(report.shards_degraded))
-        report.elapsed_ms = (self.clock() - t0) * 1000.0
+        report.elapsed_ms = (time.monotonic() - t0) * 1000.0
         self._h_coverage.observe(report.coverage)
         return scores, report
 
@@ -694,7 +681,7 @@ class ClusterService:
                 for sc in pending:
                     sc.skipped_reason = "budget expired"
                 break
-            now = self.clock()
+            now = time.monotonic()
             # Pending shards with nothing in flight lost their replica —
             # fail over to the next one (or give up on the shard).
             for sc in pending:
@@ -723,7 +710,7 @@ class ClusterService:
             for conn in ready:
                 self._pump(conns[conn], inflight, scores, report)
 
-            now = self.clock()
+            now = time.monotonic()
             for sc in pending:
                 if sc.done or sc.skipped_reason is not None:
                     continue
@@ -732,7 +719,7 @@ class ClusterService:
                 timed_out = [
                     req_id
                     for req_id, (_r, sent_at) in sc.inflight.items()
-                    if now - sent_at > self.request_timeout_s
+                    if now - sent_at > REQUEST_TIMEOUT_S
                 ]
                 for req_id in timed_out:
                     replica, _ = sc.inflight.pop(req_id)
@@ -740,7 +727,7 @@ class ClusterService:
                     self.breaker.record_timeout((sc.shard, replica))
                     report.events.append(
                         f"shard {sc.shard} replica {replica} timed out "
-                        f"after {self.request_timeout_s}s"
+                        f"after {REQUEST_TIMEOUT_S}s"
                     )
                 if timed_out and not sc.inflight:
                     self._failover(sc, query, deadline_wall(), inflight, report)
@@ -863,7 +850,7 @@ class ClusterService:
             if kind == "score":
                 sc.done = True
                 if sent_at is not None:
-                    elapsed = self.clock() - sent_at
+                    elapsed = time.monotonic() - sent_at
                     self._latency.observe(elapsed)
                     self._h_shard.observe(elapsed)
                 if replica is not None:
@@ -928,10 +915,10 @@ class ClusterService:
             req_id = next(self._req_ids)
             try:
                 handle.conn.send(("ping", req_id))
-                deadline = self.clock() + timeout_s
+                deadline = time.monotonic() + timeout_s
                 status = "unresponsive"
-                while self.clock() < deadline:
-                    if not handle.conn.poll(max(0.0, deadline - self.clock())):
+                while time.monotonic() < deadline:
+                    if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
                         break
                     msg = handle.conn.recv()
                     self._absorb_reply_telemetry(handle, msg)
@@ -954,9 +941,9 @@ class ClusterService:
             req_id = next(self._req_ids)
             try:
                 handle.conn.send(("info", req_id))
-                deadline = self.clock() + timeout_s
-                while self.clock() < deadline:
-                    if not handle.conn.poll(max(0.0, deadline - self.clock())):
+                deadline = time.monotonic() + timeout_s
+                while time.monotonic() < deadline:
+                    if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
                         break
                     msg = handle.conn.recv()
                     self._absorb_reply_telemetry(handle, msg)

@@ -233,8 +233,8 @@ class Grid:
     def distances_from(self, x: float, y: float, cells: Iterable[int] | None = None) -> np.ndarray:
         """Euclidean distances from ``(x, y)`` to cell centers.
 
-        With ``cells=None`` the distances to *all* centers are returned
-        (dense mode); otherwise only to the listed cells (pruned mode).
+        With ``cells=None`` the distances to *all* centers are returned;
+        otherwise only to the listed cells.
         """
         centers = self.centers()
         if cells is not None:

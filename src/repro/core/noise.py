@@ -10,13 +10,13 @@ an isotropic Gaussian on the distance between ``ℓ`` and the cell center.
 Every model exposes two evaluation modes:
 
 * :meth:`NoiseModel.cell_distribution` — sparse/truncated support (the cells
-  where the probability is non-negligible), which every STP mode uses;
+  where the probability is non-negligible), which every STP evaluator uses;
   :meth:`NoiseModel.cell_distributions` evaluates it for a whole
   trajectory in one vectorized pass (candidate windows, radius mask and
   distances of all observations together), bitwise equal to the
   per-point call, which stays the reference;
 * :meth:`NoiseModel.dense_distribution` — the full ``|R|``-vector, used by
-  the exact mode and by tests that verify pruning is faithful.
+  tests that verify truncation is faithful.
 
 Both return distributions normalized to sum to 1 over their support, as
 required by Algorithm 1 of the paper.
@@ -118,7 +118,7 @@ class NoiseModel(ABC):
         return out
 
     def dense_distribution(self, grid: Grid, x: float, y: float) -> np.ndarray:
-        """Full ``|R|``-vector distribution (normalized), for exact mode."""
+        """Full ``|R|``-vector distribution (normalized), untruncated."""
         dist = grid.distances_from(x, y)
         weights = self._weight(dist)
         total = weights.sum()

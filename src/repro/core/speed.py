@@ -97,8 +97,8 @@ class KDESpeedModel(SpeedModel):
         Kernel bandwidth; defaults to Silverman's rule (Eq. 6 in the paper).
     truncate:
         Number of bandwidths beyond the extreme samples at which the density
-        is treated as zero (for the pruned evaluation only; the density
-        itself is never truncated).
+        is treated as zero when sizing the region Eq. 4 is evaluated over
+        (the density itself is never truncated).
     """
 
     def __init__(

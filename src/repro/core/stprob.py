@@ -11,24 +11,22 @@ probability distribution over grid cells?*  Following Eq. 5:
   backward weights into the later one, renormalized;
 * outside the trajectory's time span, it is zero everywhere.
 
-Four evaluation modes:
+The transition model picks how Eq. 4 is evaluated:
 
-* ``"dense"`` — Eq. 4 over every grid cell pair, exactly as written
-  (``O(|R|²)`` per query); the reference implementation.
-* ``"pruned"`` — restricts the computation to cells both reachable from
-  the earlier observation and able to reach the later one within the
-  object's plausible speed range (plus the noise supports); the discarded
-  cells carry negligible probability.
-* ``"fft"`` — for *isotropic* transition models (STS proper: the weight
-  depends only on distance), the forward and backward sums of Eq. 4 are
-  2-D convolutions of the noise distribution with a radial kernel over the
-  grid lattice, evaluated with FFT convolution.  Exact at lattice level
-  (agrees with ``"dense"`` to FFT round-off) and much faster on large
-  grids.
-* ``"auto"`` (default) — ``"fft"`` when the transition model is isotropic,
-  else ``"pruned"``.
+* an *isotropic* model (STS proper: the weight depends only on distance)
+  makes the forward and backward sums of Eq. 4 2-D convolutions of the
+  noise distribution with a radial kernel over the grid lattice,
+  evaluated with FFT convolution — exact at lattice level and fast on
+  large grids;
+* any other model (the frequency-based STS-F) is summed explicitly over
+  the cells both reachable from the earlier observation and able to
+  reach the later one within the model's reachable radius (plus the
+  noise supports) — the reachable-region pruning of Niedermayer et al.;
+  the discarded cells carry negligible probability.  A model without a
+  finite radius is summed over every cell, Eq. 4 exactly as written.
 
-The test suite verifies all modes agree to tight tolerance.
+The tests check the FFT evaluator against explicit summation of the
+same speed model to tight tolerance.
 
 Batched evaluation
 ------------------
@@ -41,7 +39,7 @@ estimator is built) or bridged by the segment ``lo`` it falls in.  Only
 distinct bridged times consult the result cache, and the misses are
 evaluated together, across segments:
 
-* FFT mode embeds each query's forward and backward kernel on one fixed
+* the FFT path embeds each query's forward and backward kernel on one fixed
   per-estimator canvas (sized for the trajectory's largest observation
   gap) and runs one stacked ``rfft2``/``irfft2`` round trip per chunk of
   queries, multiplying by each observation's cached noise-plane spectrum
@@ -49,12 +47,11 @@ evaluated together, across segments:
   transition-weight call per canvas size and normalizes its queries as
   one array.  :data:`FFT_CHUNK_BYTES` bounds a chunk's scratch, so a
   call's working set does not grow with its number of queries;
-* pruned/dense mode evaluates each segment's queries in one pass that
-  builds the candidate set union and both distance matrices once.
+* explicit summation evaluates each query over its own candidate cells.
 
-``stp(t)`` is ``stp_batch([t])[0]``.  In FFT mode a query's distribution
-does not depend on the other queries of its call, so the chunking
-changes no result.  Kernels (by their exact time gap) and noise-plane
+``stp(t)`` is ``stp_batch([t])[0]``.  A query's distribution does not
+depend on the other queries of its call, so the chunking changes no
+result.  Kernels (by their exact time gap) and noise-plane
 transforms are memoized in bounded LRU caches (see ``cache_size``), so
 long-lived estimators serving many queries stay fast without growing
 memory unboundedly, and a memoized value is bitwise the one computed.
@@ -102,6 +99,30 @@ def _segments(los: np.ndarray) -> list[tuple[int, slice]]:
     return [(int(los[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _bind_handles(reg) -> tuple:
+    """The metric handles every estimator on ``reg`` shares (see ``_init_obs``)."""
+    stage = reg.counter(
+        "repro_stage_seconds_total", "Wall seconds spent per pipeline stage"
+    )
+    return (
+        stage.child(component="stp", stage="noise-eval"),
+        stage.child(component="stp", stage="bridge-interp"),
+        stage.child(component="stp", stage="kernel-build"),
+        stage.child(component="stp", stage="kernel-fft"),
+        stage.child(component="stp", stage="normalize"),
+        # Bound here so colocation_batch pays no per-call instrument lookup.
+        stage.child(component="colocation", stage="stp-resolve"),
+        stage.child(component="colocation", stage="inner-product"),
+        reg.counter(
+            "repro_fft_plane_transforms_total", "Noise-plane forward FFTs computed"
+        ).child(),
+        reg.counter(
+            "repro_fft_canvas_reuse_total",
+            "Noise-plane FFTs served from the fixed-canvas cache",
+        ).child(),
+    )
+
+
 class TrajectorySTP:
     """Spatial-temporal probability of one object given its trajectory.
 
@@ -116,10 +137,8 @@ class TrajectorySTP:
     transition_model:
         Transition scorer; for STS proper this is a
         :class:`~repro.core.transition.SpeedTransitionModel` built from the
-        trajectory's *own* speed samples (personalized).
-    mode:
-        ``"auto"`` (default), ``"fft"``, ``"pruned"`` or ``"dense"`` — see
-        the module docstring.
+        trajectory's *own* speed samples (personalized).  Whether it is
+        isotropic picks the Eq. 4 evaluator (see the module docstring).
     cache_size:
         Capacity of the per-query result cache; the kernel, noise-plane and
         FFT caches are sized proportionally.  ``None`` means unbounded,
@@ -137,15 +156,12 @@ class TrajectorySTP:
         snapshots O(caches) rather than O(estimators × caches).
     """
 
-    _MODES = ("auto", "fft", "pruned", "dense")
-
     def __init__(
         self,
         trajectory: Trajectory,
         grid: Grid,
         noise_model: NoiseModel,
         transition_model: TransitionModel,
-        mode: str = "auto",
         cache_size: int | None = 4096,
         registry=None,
         cache_collector: bool = True,
@@ -154,22 +170,10 @@ class TrajectorySTP:
             raise DegenerateTrajectoryError(
                 "cannot estimate S-T probability for an empty trajectory"
             )
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
-        if mode == "fft" and not transition_model.isotropic:
-            raise ValueError(
-                "mode='fft' requires an isotropic transition model; "
-                f"{type(transition_model).__name__} is not"
-            )
         self.trajectory = trajectory
         self.grid = grid
         self.noise_model = noise_model
         self.transition_model = transition_model
-        self.mode = mode
-        if mode == "auto":
-            self._resolved_mode = "fft" if transition_model.isotropic else "pruned"
-        else:
-            self._resolved_mode = mode
         # An owning STS passes cache_collector=False and publishes one
         # aggregated cache collector for its whole estimator pool; a
         # standalone estimator keeps its own (the plain-int attribute
@@ -191,38 +195,24 @@ class TrajectorySTP:
         self._cache = LRUCache(cache_size)  # query time -> SparseDistribution
         self._kernel_cache = LRUCache(scaled(8, 64))  # (dt, canvas) -> kernel
         self._plane_fft_cache = LRUCache(scaled(16, 16))  # (idx, shape) -> rfft2
-        self._segment_cache = LRUCache(scaled(16, 16))  # dense-mode geometry
 
     # ------------------------------------------------------------------
     def _init_obs(self, registry=None) -> None:
-        """Bind metric handles once; hot paths then pay one dict-add each.
+        """Take the registry's shared handles; hot paths then pay one dict-add each.
 
         ``bridge-interp`` is the inclusive wall time of bridged queries
-        (Eq. 4), taken per FFT chunk or per pruned/dense segment;
+        (Eq. 4), taken per FFT chunk or per explicitly summed segment;
         ``kernel-build`` (canvases, weights, embedding), ``kernel-fft``
         (transforms and plane products) and ``normalize`` are its
         components on the FFT path.
         """
         reg = registry if registry is not None else get_registry()
         self._registry = reg
-        stage = reg.counter(
-            "repro_stage_seconds_total", "Wall seconds spent per pipeline stage"
-        )
-        self._t_noise = stage.child(component="stp", stage="noise-eval")
-        self._t_bridge = stage.child(component="stp", stage="bridge-interp")
-        self._t_build = stage.child(component="stp", stage="kernel-build")
-        self._t_kernel = stage.child(component="stp", stage="kernel-fft")
-        self._t_norm = stage.child(component="stp", stage="normalize")
-        # Bound here so colocation_batch pays no per-call instrument lookup.
-        self._t_coloc_resolve = stage.child(component="colocation", stage="stp-resolve")
-        self._t_coloc_inner = stage.child(component="colocation", stage="inner-product")
-        self._m_plane_transforms = reg.counter(
-            "repro_fft_plane_transforms_total", "Noise-plane forward FFTs computed"
-        ).child()
-        self._m_canvas_reuse = reg.counter(
-            "repro_fft_canvas_reuse_total",
-            "Noise-plane FFTs served from the fixed-canvas cache",
-        ).child()
+        (
+            self._t_noise, self._t_bridge, self._t_build, self._t_kernel, self._t_norm,
+            self._t_coloc_resolve, self._t_coloc_inner,
+            self._m_plane_transforms, self._m_canvas_reuse,
+        ) = reg.handles(_bind_handles)
         if getattr(self, "_cache_collector", True):
             reg.register_collector(self._collect_cache_samples)
 
@@ -231,7 +221,6 @@ class TrajectorySTP:
             ("stp-results", self._cache),
             ("stp-kernels", self._kernel_cache),
             ("stp-plane-ffts", self._plane_fft_cache),
-            ("stp-segments", self._segment_cache),
         )
 
     def _collect_cache_samples(self):
@@ -332,7 +321,6 @@ class TrajectorySTP:
             "results": self._cache.stats(),
             "kernels": self._kernel_cache.stats(),
             "plane_ffts": self._plane_fft_cache.stats(),
-            "segments": self._segment_cache.stats(),
         }
 
     def clear_cache(self) -> None:
@@ -340,13 +328,16 @@ class TrajectorySTP:
         self._cache.clear()
         self._kernel_cache.clear()
         self._plane_fft_cache.clear()
-        self._segment_cache.clear()
 
     # ------------------------------------------------------------------
     def _bridge(self, los: np.ndarray, ts: np.ndarray) -> list[SparseDistribution]:
-        """Eq. 4 at sorted times ``ts``, each strictly inside segment ``los``."""
+        """Eq. 4 at sorted times ``ts``, each strictly inside segment ``los``.
+
+        FFT convolution for an isotropic transition model, explicit
+        summation over the reachable cells for any other.
+        """
         results: list[SparseDistribution] = []
-        if self._resolved_mode == "fft":
+        if self.transition_model.isotropic:
             chunk = self._fft_geometry()[3]
             for start in range(0, len(ts), chunk):
                 part = slice(start, start + chunk)
@@ -359,97 +350,41 @@ class TrajectorySTP:
         return results
 
     # ------------------------------------------------------------------
-    # Pairwise evaluation (pruned / dense)
+    # Explicit summation (non-isotropic transition models)
     # ------------------------------------------------------------------
     def _interpolate_pairwise_batch(self, lo: int, ts: np.ndarray) -> list[SparseDistribution]:
-        """Eq. 4 by explicit summation over candidate cells, for segment ``lo``.
-
-        The candidate union and (for isotropic models) both distance
-        matrices are built once for the whole segment; each query then only
-        evaluates the transition kernel on its slice.
-        """
-        hi = lo + 1
-        p_lo, p_hi = self.trajectory[lo], self.trajectory[hi]
-        dts1 = ts - p_lo.t
-        dts2 = p_hi.t - ts
-        candidate_sets = [
-            self._candidate_cells(p_lo, p_hi, float(d1), float(d2))
-            for d1, d2 in zip(dts1, dts2)
-        ]
-        if len(candidate_sets) == 1:
-            union = candidate_sets[0]
-        else:
-            union = np.unique(np.concatenate(candidate_sets))
+        """Eq. 4 by explicit summation over each query's candidate cells, for segment ``lo``."""
+        p_lo, p_hi = self.trajectory[lo], self.trajectory[lo + 1]
         centers = self.grid.centers()
-        centers_union = centers[union]
         cells_lo, probs_lo = self._observed[lo]
-        cells_hi, probs_hi = self._observed[hi]
-        src_lo = centers[cells_lo]
-        src_hi = centers[cells_hi]
+        cells_hi, probs_hi = self._observed[lo + 1]
+        src_lo, src_hi = centers[cells_lo], centers[cells_hi]
         model = self.transition_model
-        isotropic = model.isotropic
-        if isotropic:
-            dist_lo, dist_hi = self._segment_distances(
-                lo, src_lo, src_hi, union, centers_union
-            )
         results: list[SparseDistribution] = []
-        for i, candidates in enumerate(candidate_sets):
-            dt1, dt2 = float(dts1[i]), float(dts2[i])
-            full = candidates.size == union.size
+        for t, dt1, dt2 in zip(ts.tolist(), (ts - p_lo.t).tolist(), (p_hi.t - ts).tolist()):
+            candidates = self._candidate_cells(p_lo, p_hi, dt1, dt2)
+            dst = centers[candidates]
             # forward(r)  = Σ_j f(r_j, ℓ_i)     · P(r, t | r_j, t_i)
             # backward(r) = Σ_k f(r_k, ℓ_{i+1}) · P(r_k, t_{i+1} | r, t)
-            if isotropic:
-                sel = slice(None) if full else np.searchsorted(union, candidates)
-                forward = probs_lo @ model.distance_weights(dist_lo[:, sel], dt1)
-                backward = model.distance_weights(dist_hi[sel, :], dt2) @ probs_hi
-            else:
-                dst = centers_union if full else centers[candidates]
-                forward = probs_lo @ model.weights(src_lo, dst, dt1)
-                backward = model.weights(dst, src_hi, dt2) @ probs_hi
+            forward = probs_lo @ model.weights(src_lo, dst, dt1)
+            backward = model.weights(dst, src_hi, dt2) @ probs_hi
             unnorm = forward * backward
             total = float(unnorm.sum())
             if total <= 0.0 or not np.isfinite(total):
-                results.append(self._fallback(float(ts[i]), lo))
+                results.append(self._fallback(t, lo))
             else:
                 results.append(self._sparsify(candidates, unnorm / total))
         return results
 
-    def _segment_distances(
-        self,
-        lo: int,
-        src_lo: np.ndarray,
-        src_hi: np.ndarray,
-        union: np.ndarray,
-        centers_union: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distance matrices from both noise supports to the candidate union.
-
-        In dense mode the union is always the full grid, so the matrices
-        are memoized per segment; pruned unions vary per batch and are
-        rebuilt (still once per segment *per call*, not per query).
-        """
-
-        def build() -> tuple[np.ndarray, np.ndarray]:
-            diff_lo = src_lo[:, None, :] - centers_union[None, :, :]
-            dist_lo = np.hypot(diff_lo[..., 0], diff_lo[..., 1])
-            diff_hi = centers_union[:, None, :] - src_hi[None, :, :]
-            dist_hi = np.hypot(diff_hi[..., 0], diff_hi[..., 1])
-            return dist_lo, dist_hi
-
-        if self._resolved_mode == "dense":
-            return self._segment_cache.get_or_compute(("dense-dist", lo), build)
-        return build()
-
     def _candidate_cells(self, p_lo, p_hi, dt1: float, dt2: float) -> np.ndarray:
-        """Cells where Eq. 4 can be non-negligible (pruned mode).
+        """Cells where Eq. 4 can be non-negligible.
 
         Cells reachable from the earlier observation within ``dt1`` *and*
         able to reach the later one within ``dt2`` (each radius widened by
-        the noise support).  Falls back to the union, then to the merged
-        noise supports, so the candidate set is never empty.
+        the noise support); every cell when a radius is not finite.  Falls
+        back to the union, then to the merged noise supports, so the
+        candidate set is never empty.
         """
-        if self._resolved_mode == "dense":
-            return np.arange(self.grid.n_cells)
         pad = self.noise_model.support_radius(self.grid) + self.grid.cell_size
         r1 = self.transition_model.reachable_radius(dt1) + pad
         r2 = self.transition_model.reachable_radius(dt2) + pad
@@ -475,7 +410,7 @@ class TrajectorySTP:
         With an isotropic transition model, ``forward = f_lo ⊛ K_{dt1}``
         and ``backward = f_hi ⊛ K_{dt2}`` where ``K_dt`` is the radial
         kernel of transition weights between cell offsets.  Equivalent to
-        the dense mode up to FFT round-off.
+        explicit summation up to FFT round-off.
 
         Each kernel is drawn on the smallest canvas from a geometric size
         series covering its own transition radius and embedded, centered,
@@ -751,7 +686,4 @@ class TrajectorySTP:
         self._init_obs()
 
     def __repr__(self) -> str:
-        return (
-            f"<TrajectorySTP n={len(self.trajectory)} mode={self.mode!r} "
-            f"grid={self.grid.n_cols}x{self.grid.n_rows}>"
-        )
+        return f"<TrajectorySTP n={len(self.trajectory)} grid={self.grid.n_cols}x{self.grid.n_rows}>"

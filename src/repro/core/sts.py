@@ -91,9 +91,6 @@ class STS:
         trajectory, Eq. 6–7); a :class:`TransitionModel` instance shared by
         all trajectories (the STS-G / STS-F ablations); or a callable
         ``Trajectory -> TransitionModel`` for custom policies.
-    mode:
-        ``"auto"`` (default), ``"fft"``, ``"pruned"`` or ``"dense"`` —
-        passed to :class:`TrajectorySTP`; see :mod:`repro.core.stprob`.
     cache_size:
         Maximum number of trajectories whose estimator state is kept alive
         at once (LRU eviction beyond that).  ``None`` means unbounded — the
@@ -129,7 +126,6 @@ class STS:
         grid: Grid,
         noise_model: NoiseModel | None = None,
         transition: TransitionModel | TransitionFactory | None = None,
-        mode: str = "auto",
         cache_size: int | None = 512,
         stp_cache_size: int | None = 4096,
         registry=None,
@@ -147,7 +143,6 @@ class STS:
                 "transition must be None, a TransitionModel, or a callable "
                 f"Trajectory -> TransitionModel; got {type(transition).__name__}"
             )
-        self.mode = mode
         self.stp_cache_size = stp_cache_size
         self._stp_cache = LRUCache(cache_size)  # id -> (Trajectory, TrajectorySTP)
         self._init_obs(registry)
@@ -231,7 +226,6 @@ class STS:
             self.grid,
             self.noise_model,
             self._transition_factory(trajectory),
-            mode=self.mode,
             cache_size=self.stp_cache_size,
             registry=self._registry,
             cache_collector=False,
@@ -441,15 +435,15 @@ class STS:
         self._init_obs()
 
     def __repr__(self) -> str:
-        return f"<{self.name} grid={self.grid!r} noise={self.noise_model!r} mode={self.mode!r}>"
+        return f"<{self.name} grid={self.grid!r} noise={self.noise_model!r}>"
 
 
 # ----------------------------------------------------------------------
 # Ablation variants (Section VI-C, Figure 10)
 # ----------------------------------------------------------------------
-def sts_n(grid: Grid, mode: str = "auto") -> STS:
+def sts_n(grid: Grid) -> STS:
     """STS-N: locations are deterministic points (no noise model)."""
-    measure = STS(grid, noise_model=DeterministicNoiseModel(), mode=mode)
+    measure = STS(grid, noise_model=DeterministicNoiseModel())
     measure.name = "STS-N"
     return measure
 
@@ -458,15 +452,11 @@ def sts_g(
     grid: Grid,
     corpus: Iterable[Trajectory],
     noise_model: NoiseModel | None = None,
-    mode: str = "auto",
 ) -> STS:
     """STS-G: one global speed distribution pooled from ``corpus``."""
     global_speed = KDESpeedModel.from_trajectories(corpus)
     measure = STS(
-        grid,
-        noise_model=noise_model,
-        transition=SpeedTransitionModel(global_speed),
-        mode=mode,
+        grid, noise_model=noise_model, transition=SpeedTransitionModel(global_speed)
     )
     measure.name = "STS-G"
     return measure
@@ -476,17 +466,16 @@ def sts_f(
     grid: Grid,
     corpus: Iterable[Trajectory],
     noise_model: NoiseModel | None = None,
-    mode: str = "auto",
     max_steps: int = 8,
 ) -> STS:
     """STS-F: frequency-based Markov transitions fitted on ``corpus``."""
     freq = FrequencyTransitionModel(grid, max_steps=max_steps).fit(corpus)
-    measure = STS(grid, noise_model=noise_model, transition=freq, mode=mode)
+    measure = STS(grid, noise_model=noise_model, transition=freq)
     measure.name = "STS-F"
     return measure
 
 
-def sts_b(grid: Grid, noise_model: NoiseModel | None = None, mode: str = "auto") -> STS:
+def sts_b(grid: Grid, noise_model: NoiseModel | None = None) -> STS:
     """STS-B: Brownian-bridge-style Gaussian speed law per trajectory.
 
     Section II of the paper notes the Brownian bridge is the special case
@@ -496,6 +485,6 @@ def sts_b(grid: Grid, noise_model: NoiseModel | None = None, mode: str = "auto")
     arbitrary-distribution property of Eq. 6 buys (e.g. under the bimodal
     walk/dwell speeds of mall visitors).
     """
-    measure = STS(grid, noise_model=noise_model, transition=_brownian_transition, mode=mode)
+    measure = STS(grid, noise_model=noise_model, transition=_brownian_transition)
     measure.name = "STS-B"
     return measure

@@ -37,8 +37,9 @@ class TransitionModel(ABC):
     """Scores transitions between locations over a time gap."""
 
     #: Whether the weight depends on the locations only through their
-    #: distance.  Isotropic models unlock the FFT-convolution evaluation of
-    #: Eq. 4 (see :mod:`repro.core.stprob`), which must then implement
+    #: distance.  Eq. 4 is evaluated by FFT convolution for an isotropic
+    #: model and by explicit summation otherwise (see
+    #: :mod:`repro.core.stprob`); an isotropic model must implement
     #: :meth:`distance_weights` and :meth:`distance_weights_batch`.
     isotropic: bool = False
 

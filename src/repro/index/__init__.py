@@ -1,7 +1,6 @@
 """Filter-and-refine candidate search for large galleries."""
 
 from .filters import bounding_box_filter, cell_signature_filter, time_overlap_filter
-from .inverted import TrajectoryIndex
 from .matcher import FilteredMatcher, MatchReport
 
 __all__ = [
@@ -10,5 +9,4 @@ __all__ = [
     "cell_signature_filter",
     "FilteredMatcher",
     "MatchReport",
-    "TrajectoryIndex",
 ]

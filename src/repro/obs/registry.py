@@ -452,6 +452,10 @@ class NullRegistry:
     def register_collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
         """Ignored: null registries never sample collectors."""
 
+    def handles(self, binder: Callable[["NullRegistry"], object]) -> object:
+        """``binder(self)``: the shared no-op handles, unmemoized."""
+        return binder(self)
+
     def value(self, name: str) -> dict[str, float]:
         """Always empty."""
         return {}
@@ -493,6 +497,8 @@ class MetricsRegistry:
         # garbage collection run while the lock is held) and dropped on
         # the next register or snapshot.
         self._dead: list = []
+        # binder -> what it bound on this registry (see handles()).
+        self._handles: dict = {}
 
     # ------------------------------------------------------------------
     def _instrument(self, cls, name: str, help: str, **kwargs):
@@ -521,6 +527,20 @@ class MetricsRegistry:
     ) -> Histogram:
         """Create (or fetch) the histogram called ``name``."""
         return self._instrument(Histogram, name, help, buckets=buckets)
+
+    def handles(self, binder: Callable[["MetricsRegistry"], object]) -> object:
+        """``binder(self)``, bound once per registry until :meth:`reset`.
+
+        For components built many times over (one estimator per
+        trajectory) that all bind the same instruments: after the first
+        instance, binding is one dict lookup instead of a lookup per
+        instrument and label set.  A concurrent first call may run
+        ``binder`` twice; both results hold the same series.
+        """
+        bound = self._handles.get(binder)
+        if bound is None:
+            bound = self._handles[binder] = binder(self)
+        return bound
 
     # ------------------------------------------------------------------
     def register_collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
@@ -642,6 +662,7 @@ class MetricsRegistry:
         """Drop every metric and collector (tests and demos)."""
         with self._lock:
             self._metrics.clear()
+            self._handles.clear()
             self._collectors.clear()
             self._dead.clear()
 

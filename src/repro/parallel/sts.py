@@ -138,10 +138,6 @@ class ParallelSTS:
         self._h_pairwise = self._registry.histogram(
             "repro_pairwise_seconds", "Wall seconds per pairwise() call"
         ).child()
-        self._h_dispatch = self._registry.histogram(
-            "repro_parallel_dispatch_seconds",
-            "Wall seconds per supervised chunk-dispatch round trip",
-        ).child()
         self._h_imbalance = self._registry.histogram(
             "repro_parallel_chunk_imbalance",
             "Estimated chunk cost over the mean chunk cost, per chunk",
@@ -243,11 +239,11 @@ class ParallelSTS:
         n_pairs = len(rows) * (len(rows) + 1) // 2 if symmetric else out.size
         if not n_pairs:
             return out
+        t0 = perf_counter()
         if self.n_jobs == 1 and checkpoint is None and deadline is None:
             # Serial, unjournaled and undeadlined: the whole matrix is one
             # kernel block, and there is nothing to supervise in-process.
             self.last_health = None
-            t0 = perf_counter()
             out = similarity_block(self.measure, rows, None if symmetric else gallery)
             self._h_pairwise.observe(perf_counter() - t0)
             return out
@@ -291,7 +287,6 @@ class ParallelSTS:
                 arena_handle=arena.handle if arena is not None else None,
             )
             self.last_health = supervisor.health
-            t0 = perf_counter()
             with trace_span(
                 "parallel.pairwise",
                 n_jobs=self.n_jobs,
@@ -304,17 +299,17 @@ class ParallelSTS:
                     done=done,
                     on_chunk_done=ckpt.record if ckpt is not None else None,
                 )
-            elapsed = perf_counter() - t0
         finally:
             if arena is not None:
                 arena.close()
-        self._h_pairwise.observe(elapsed)
-        self._h_dispatch.observe(elapsed)
-        if getattr(self._registry, "enabled", False):
-            supervisor.health.metrics = self._registry.snapshot()
         if ckpt is not None:
             ckpt.flush()
-        return _assemble(out, results.values(), symmetric)
+        out = _assemble(out, results.values(), symmetric)
+        # The whole call, arena pack included, as on the serial path.
+        self._h_pairwise.observe(perf_counter() - t0)
+        if getattr(self._registry, "enabled", False):
+            supervisor.health.metrics = self._registry.snapshot()
+        return out
 
     def __repr__(self) -> str:
         return (

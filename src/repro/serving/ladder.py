@@ -118,7 +118,6 @@ class DeadlineScorer:
                 self.measure.grid.coarsen(factor),
                 noise_model=self.measure.noise_model,
                 transition=self.measure._transition_factory,
-                mode=self.measure.mode,
                 stp_cache_size=self.measure.stp_cache_size,
                 registry=self._registry,
             )

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterService
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS, SharedTrajectoryArena
 
@@ -144,6 +145,24 @@ class TestNoLeakedSegments:
         assert "from process workers to threads" in str(runtime[0].message)
         fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) == 1
+        assert _segments() <= before
+
+    def test_cluster_pack_failure_ships_the_gallery_and_leaves_no_segment(
+        self, grid, gallery, monkeypatch
+    ):
+        # Without /dev/shm each shard's replicas get their gallery slice
+        # itself and score it exactly as the arena's views.
+        def no_shm(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
+        before = _segments()
+        query = gallery[1]
+        expected = STS(grid).similarity_block([query], gallery)[0]
+        with ClusterService(STS(grid), gallery, n_shards=2, n_replicas=1) as svc:
+            scores, report = svc.query_scores(query)
+        assert report.ok and report.coverage == 1.0
+        assert np.array_equal([scores[i] for i in range(len(gallery))], expected)
         assert _segments() <= before
 
 

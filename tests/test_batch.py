@@ -5,9 +5,10 @@
 bracketing segment and amortize kernel/FFT work, but every distribution is
 produced by the same evaluation core as a singleton ``stp(t)`` call, and
 every co-location term by the same sparse product.  The tests here pin
-that contract *bitwise* — not "close", identical — across all four
-estimator modes, for observed / interpolated / duplicated / out-of-span
-query times.
+that contract *bitwise* — not "close", identical — for both Eq. 4
+evaluators (FFT convolution, and explicit summation over the reachable
+cells or over every cell), for observed / interpolated / duplicated /
+out-of-span query times.
 """
 
 import numpy as np
@@ -15,10 +16,19 @@ import pytest
 
 from repro.core.colocation import colocation_batch, colocation_probability
 from repro.core.grid import Grid
-from repro.core.sts import STS, sts_f
+from repro.core.sts import STS
+from repro.core.transition import FrequencyTransitionModel
 from repro.core.trajectory import Trajectory
 
-MODES = ["dense", "pruned", "fft", "auto"]
+from .summed import Summed, summed_personalized
+
+#: Transition policy per Eq. 4 evaluator: summed over every cell, summed
+#: over the reachable cells, FFT convolution (STS's default).
+MODES = {
+    "dense": summed_personalized(reach=False),
+    "pruned": summed_personalized(),
+    "fft": None,
+}
 
 
 @pytest.fixture
@@ -60,19 +70,20 @@ class TestStpBatchMatchesPerT:
     @pytest.mark.parametrize("mode", MODES)
     def test_bitwise_identity_all_modes(self, grid, walker, companion, mode):
         times = query_times(walker, companion)
-        batch = STS(grid, mode=mode).stp_for(walker).stp_batch(times)
+        batch = STS(grid, transition=MODES[mode]).stp_for(walker).stp_batch(times)
         # Fresh estimator for the singleton path so neither run can serve
         # the other from a cache.
-        single_stp = STS(grid, mode=mode).stp_for(walker)
+        single_stp = STS(grid, transition=MODES[mode]).stp_for(walker)
         singles = [single_stp.stp(float(t)) for t in times]
         assert_distributions_identical(batch, singles)
 
     @pytest.mark.parametrize("mode", ["pruned", "dense"])
     def test_bitwise_identity_frequency_transitions(self, grid, walker, companion, mode):
-        corpus = [walker, companion]
+        freq = FrequencyTransitionModel(grid).fit([walker, companion])
+        transition = Summed(freq, reach=mode == "pruned")
         times = query_times(walker, companion)
-        batch = sts_f(grid, corpus, mode=mode).stp_for(walker).stp_batch(times)
-        single_stp = sts_f(grid, corpus, mode=mode).stp_for(walker)
+        batch = STS(grid, transition=transition).stp_for(walker).stp_batch(times)
+        single_stp = STS(grid, transition=transition).stp_for(walker)
         singles = [single_stp.stp(float(t)) for t in times]
         assert_distributions_identical(batch, singles)
 

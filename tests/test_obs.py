@@ -168,6 +168,23 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("x_total")
 
+    def test_handles_bound_once_until_reset(self):
+        registry = MetricsRegistry()
+        calls = []
+
+        def binder(reg):
+            calls.append(reg)
+            return reg.counter("x_total").child(a="b")
+
+        first = registry.handles(binder)
+        assert registry.handles(binder) is first and len(calls) == 1
+        first.inc(2)
+        registry.reset()
+        fresh = registry.handles(binder)
+        assert fresh is not first and len(calls) == 2
+        fresh.inc(3)
+        assert registry.snapshot()["counters"]["x_total"]['a="b"'] == 3.0
+
     def test_snapshot_merges_collector_samples(self):
         registry = MetricsRegistry()
 
@@ -317,6 +334,7 @@ class TestNullRegistry:
         registry.histogram("z").observe(1.0)
         registry.histogram("z").child(a="b").observe(1.0)
         registry.register_collector(lambda: [("counter", "x", {}, 1.0)])
+        registry.handles(lambda reg: reg.counter("x").child()).inc(1)
         assert registry.snapshot() == {}
         assert registry.to_prometheus() == ""
         assert registry.enabled is False

@@ -77,7 +77,7 @@ class TestScoringMetrics:
             np.arange(0.0, 100.0, 10.0), np.ones(10), np.arange(5.0, 105.0, 10.0), "b"
         )
         grid = Grid(-20.0, -20.0, 120.0, 20.0, cell_size=4.0)
-        measure = STS(grid, mode="fft")
+        measure = STS(grid)
         measure.similarity(a, b)
         measure.similarity(a, b)
         snap = fresh_registry.snapshot()
@@ -177,6 +177,29 @@ class TestParallelMetrics:
         assert chunks['event="queued"'] > 0
         assert chunks['event="completed"'] == chunks['event="queued"']
         assert health.metrics["histograms"]["repro_pairwise_seconds"][""]["count"] == 1
+
+    def test_pairwise_seconds_covers_the_whole_call(
+        self, fresh_registry, corpus, monkeypatch
+    ):
+        # A slow arena pack is part of the call, as the serial path's
+        # block is: the histogram must not start after it.
+        from repro.parallel import SharedTrajectoryArena
+
+        real_pack = SharedTrajectoryArena.pack
+
+        def slow_pack(*args, **kwargs):
+            time.sleep(0.5)
+            return real_pack(*args, **kwargs)
+
+        monkeypatch.setattr(SharedTrajectoryArena, "pack", slow_pack)
+        wrapper = ParallelSTS(STS(corpus.make_grid()), n_jobs=2, backend="process")
+        t0 = time.perf_counter()
+        wrapper.pairwise(corpus.trajectories)
+        wall = time.perf_counter() - t0
+        histograms = fresh_registry.snapshot()["histograms"]
+        recorded = histograms["repro_pairwise_seconds"][""]["sum"]
+        assert wall - 0.1 <= recorded <= wall
+        assert "repro_parallel_dispatch_seconds" not in histograms
 
     def test_span_tree_nests_across_thread_backend(
         self, fresh_registry, fresh_tracer, corpus

@@ -14,6 +14,8 @@ from repro.core.sts import STS, sts_n
 from repro.core.trajectory import Trajectory
 from repro.similarity import CATS, DTW, EDR, SST, WGM, EDwP, Frechet
 
+from .summed import summed_personalized
+
 
 @pytest.fixture
 def grid():
@@ -49,9 +51,10 @@ class TestSTSPins:
         assert sts_n(grid).similarity(a, b) == pytest.approx(7.0 / 9.0, rel=1e-9)
 
     def test_modes_pin_identically(self, grid, walkers):
+        # FFT convolution, reach-pruned summation, summation over every cell.
         a, b, _c = walkers
-        for mode in ("fft", "pruned", "dense"):
-            measure = STS(grid, noise_model=GaussianNoiseModel(2.0), mode=mode)
+        for transition in (None, summed_personalized(), summed_personalized(reach=False)):
+            measure = STS(grid, noise_model=GaussianNoiseModel(2.0), transition=transition)
             assert measure.similarity(a, b) == pytest.approx(0.0655505, rel=1e-5)
 
 

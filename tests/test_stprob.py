@@ -17,6 +17,8 @@ from repro.core.stprob import TrajectorySTP
 from repro.core.transition import FrequencyTransitionModel, SpeedTransitionModel
 from repro.core.trajectory import Trajectory
 
+from .summed import Summed
+
 
 @pytest.fixture
 def grid():
@@ -30,12 +32,29 @@ def walker():
     return Trajectory.from_arrays(xs, [10.0] * 6, [0.0, 4.0, 8.0, 12.0, 16.0, 20.0])
 
 
-def make_stp(traj, grid, mode="auto", noise=None, transition=None):
+def make_stp(traj, grid, noise=None, transition=None):
     noise = noise if noise is not None else GaussianNoiseModel(2.0)
-    transition = transition or SpeedTransitionModel(
-        KDESpeedModel.from_trajectory(traj, approx=False)
-    )
-    return TrajectorySTP(traj, grid, noise, transition, mode=mode)
+    transition = transition or speed_transition(traj)
+    return TrajectorySTP(traj, grid, noise, transition)
+
+
+def speed_transition(traj):
+    return SpeedTransitionModel(KDESpeedModel.from_trajectory(traj, approx=False))
+
+
+@pytest.fixture
+def evaluators(monkeypatch):
+    """Names of the Eq. 4 evaluators the estimator ran, in call order."""
+    ran = []
+    for name in ("_fft_chunk", "_interpolate_pairwise_batch"):
+        real = getattr(TrajectorySTP, name)
+
+        def spy(self, *args, _name=name, _real=real):
+            ran.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(TrajectorySTP, name, spy)
+    return ran
 
 
 class TestConstruction:
@@ -44,20 +63,24 @@ class TestConstruction:
             make_stp(Trajectory([]), grid)
 
     def test_invalid_mode(self, grid, walker):
-        with pytest.raises(ValueError, match="mode"):
-            make_stp(walker, grid, mode="warp")
+        # The transition model alone picks the evaluator: there is no mode.
+        with pytest.raises(TypeError, match="mode"):
+            TrajectorySTP(
+                walker, grid, GaussianNoiseModel(2.0), speed_transition(walker), mode="fft"
+            )
 
-    def test_fft_requires_isotropic(self, grid, walker):
-        freq = FrequencyTransitionModel(grid).fit([walker])
-        with pytest.raises(ValueError, match="isotropic"):
-            make_stp(walker, grid, mode="fft", transition=freq)
+    def test_fft_requires_isotropic(self, grid, walker, evaluators):
+        # The same speed model, with its isotropy hidden, is summed.
+        make_stp(walker, grid, transition=Summed(speed_transition(walker))).stp(6.5)
+        assert evaluators == ["_interpolate_pairwise_batch"]
 
-    def test_auto_resolves_by_model(self, grid, walker):
-        stp = make_stp(walker, grid, mode="auto")
-        assert stp._resolved_mode == "fft"
+    def test_auto_resolves_by_model(self, grid, walker, evaluators):
+        make_stp(walker, grid).stp(6.5)
+        assert evaluators == ["_fft_chunk"]
+        evaluators.clear()
         freq = FrequencyTransitionModel(grid).fit([walker])
-        stp2 = make_stp(walker, grid, mode="auto", transition=freq)
-        assert stp2._resolved_mode == "pruned"
+        make_stp(walker, grid, transition=freq).stp(6.5)
+        assert evaluators == ["_interpolate_pairwise_batch"]
 
 
 class TestEq5Cases:
@@ -101,23 +124,29 @@ class TestEq5Cases:
 
 
 class TestModeAgreement:
+    """FFT convolution and reach-pruned summation against Eq. 4 summed over every cell."""
+
+    @staticmethod
+    def summed(walker, grid, reach, noise=None):
+        return make_stp(walker, grid, noise, Summed(speed_transition(walker), reach))
+
     @pytest.mark.parametrize("t", [1.0, 6.5, 10.0, 15.3, 19.0])
     def test_pruned_matches_dense(self, grid, walker, t):
-        dense = make_stp(walker, grid, mode="dense")
-        pruned = make_stp(walker, grid, mode="pruned")
+        dense = self.summed(walker, grid, reach=False)
+        pruned = self.summed(walker, grid, reach=True)
         np.testing.assert_allclose(
             pruned.stp_dense(t), dense.stp_dense(t), atol=1e-9
         )
 
     @pytest.mark.parametrize("t", [1.0, 6.5, 10.0, 15.3, 19.0])
     def test_fft_matches_dense(self, grid, walker, t):
-        dense = make_stp(walker, grid, mode="dense")
-        fft = make_stp(walker, grid, mode="fft")
+        dense = self.summed(walker, grid, reach=False)
+        fft = make_stp(walker, grid)
         np.testing.assert_allclose(fft.stp_dense(t), dense.stp_dense(t), atol=1e-9)
 
     def test_fft_matches_dense_with_deterministic_noise(self, grid, walker):
-        dense = make_stp(walker, grid, mode="dense", noise=DeterministicNoiseModel())
-        fft = make_stp(walker, grid, mode="fft", noise=DeterministicNoiseModel())
+        dense = self.summed(walker, grid, reach=False, noise=DeterministicNoiseModel())
+        fft = make_stp(walker, grid, noise=DeterministicNoiseModel())
         for t in [2.0, 9.5, 18.0]:
             np.testing.assert_allclose(fft.stp_dense(t), dense.stp_dense(t), atol=1e-9)
 
@@ -245,9 +274,9 @@ class TestFFTChunks:
     @pytest.mark.parametrize("budget", [stprob.FFT_CHUNK_BYTES, 60_000])  # 73 and 4 queries
     def test_round_trips_per_chunk_not_per_segment(self, grid, walker, monkeypatch, budget):
         times = [float(t + f) for t in walker.timestamps[:-1] for f in (0.5, 2.0, 3.5)]
-        reference = make_stp(walker, grid, mode="fft").stp_batch(times)
+        reference = make_stp(walker, grid).stp_batch(times)
         monkeypatch.setattr(stprob, "FFT_CHUNK_BYTES", budget)
-        stp = make_stp(walker, grid, mode="fft")
+        stp = make_stp(walker, grid)
         calls = []
         real = stprob._fft.irfft2
 
@@ -389,8 +418,8 @@ class TestBatchedChunk:
     @given(case=bridged_cases(), split=st.floats(0.0, 1.0))
     def test_stp_batch_matches_per_query_reference(self, case, split):
         traj, model, times = case
-        batched = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model, mode="fft")
-        looped = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model, mode="fft")
+        batched = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model)
+        looped = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model)
         looped._fft_chunk = types.MethodType(reference_fft_chunk, looped)
         cut = int(split * times.size)
         for part in (times[:cut], times[cut:], times):

@@ -10,6 +10,8 @@ from repro.core.sts import STS, sts_b, sts_f, sts_g, sts_n
 from repro.core.transition import SpeedTransitionModel
 from repro.core.trajectory import Trajectory
 
+from .summed import summed_personalized
+
 
 @pytest.fixture
 def grid():
@@ -120,12 +122,15 @@ class TestSimilarityBehaviour:
         assert (cps >= 0).all() and (cps <= 1).all()
 
     def test_modes_agree(self, grid, walker, companion):
-        values = {
-            mode: STS(grid, mode=mode).similarity(walker, companion)
-            for mode in ("fft", "pruned", "dense")
-        }
-        assert values["fft"] == pytest.approx(values["dense"], abs=1e-9)
-        assert values["pruned"] == pytest.approx(values["dense"], abs=1e-9)
+        # FFT convolution and reach-pruned summation against Eq. 4 summed
+        # over every cell.
+        fft = STS(grid).similarity(walker, companion)
+        pruned = STS(grid, transition=summed_personalized()).similarity(walker, companion)
+        dense = STS(grid, transition=summed_personalized(reach=False)).similarity(
+            walker, companion
+        )
+        assert fft == pytest.approx(dense, abs=1e-9)
+        assert pruned == pytest.approx(dense, abs=1e-9)
 
 
 class TestPairwise:
