@@ -42,7 +42,7 @@ def test_inprocess_verification(benchmark, corpus):
     # process-spawning paths are excluded so the benchmark measures
     # verification arithmetic, not fork/exec.
     benchmark(lambda: run_verification(
-        paths=["batch", "parallel-thread", "anytime", "oracle"],
+        paths=["batch", "anytime", "oracle"],
         corpus=corpus))
 
 

@@ -408,44 +408,41 @@ def _run_link(args) -> int:
     if not queries or not gallery:
         raise SystemExit("link: queries and gallery must both be non-empty")
     measure = _grid_and_measure(queries + gallery, args.cell, args.sigma)
+    service = None
     if getattr(args, "cluster_shards", None) is not None:
         # Cluster serving: the gallery is sharded across supervised
         # replica workers; each query scatter-gathers with failover and
         # (unless --no-hedge) hedged requests.
-        from .cluster import ClusterMatcher
+        from .cluster import ClusterService
 
-        matcher = ClusterMatcher(
+        service = ClusterService(
             measure,
             gallery,
-            grid=measure.grid,
-            spatial_slack=8.0 * args.sigma,
             n_shards=args.cluster_shards,
             n_replicas=args.cluster_replicas,
             hedge=not args.no_hedge,
         )
-        gallery = matcher.gallery
-        workers = matcher  # closing it stops the shard workers
-        query_fn = lambda q, budget: matcher.query(q, k=args.top, budget=budget)
+        # Queries must name the service's own gallery list (an identity
+        # check guards against scoring a different corpus).
+        gallery = service.gallery
         print(
-            f"cluster: {matcher.plan}, fingerprint {matcher.fingerprint[:12]}, "
+            f"cluster: {service.plan}, fingerprint {service.fingerprint[:12]}, "
             f"hedging {'off' if args.no_hedge else 'on'}",
             file=sys.stderr,
         )
-    else:
-        matcher = FilteredMatcher(
-            measure, grid=measure.grid, spatial_slack=8.0 * args.sigma
-        )
-        workers = nullcontext()
-        query_fn = lambda q, budget: matcher.query(q, gallery, k=args.top, budget=budget)
+    matcher = FilteredMatcher(
+        measure, grid=measure.grid, spatial_slack=8.0 * args.sigma, cluster=service
+    )
     bounded = args.deadline_ms is not None or args.max_rss_mb is not None
-    with workers:
+    # Closing the service stops the shard workers.
+    with service if service is not None else nullcontext():
         for query in queries:
             budget = None
             if bounded:
                 from .serving import Budget
 
                 budget = Budget(deadline_ms=args.deadline_ms, max_rss_mb=args.max_rss_mb)
-            report = query_fn(query, budget)
+            report = matcher.query(query, gallery, k=args.top, budget=budget)
             best = ", ".join(str(m) for m in report.matches) if report.matches else "(no candidates)"
             print(f"{query.object_id}: {best}   [{report}]")
             if getattr(args, "explain", False):

@@ -8,20 +8,21 @@ The cluster layer scales the Eq. 10 matching workload past one process:
   group: one shared-memory arena per shard, R replica processes each,
   heartbeats, automatic restart + re-attach, per-replica circuit
   breakers, hedged requests, and explicit partial-result coverage.
-* :class:`~repro.cluster.matcher.ClusterMatcher` — filter-and-refine
-  matching (same filters as :class:`~repro.index.FilteredMatcher`) whose
-  refine stage scatter-gathers across the service.
+
+Filter-and-refine matching over the cluster is
+``FilteredMatcher(measure, cluster=service)`` queried against
+``service.gallery``: the candidate filters run in-process and survivor
+refinement scatter-gathers across the service (see
+:class:`~repro.index.FilteredMatcher`).
 
 See ``docs/ROBUSTNESS.md`` ("Sharded serving & failover") for the
 failover state machine, the hedging policy and coverage semantics.
 """
 
-from .matcher import ClusterMatcher
 from .plan import ShardPlan, gallery_keys
 from .service import ClusterReport, ClusterService
 
 __all__ = [
-    "ClusterMatcher",
     "ClusterReport",
     "ClusterService",
     "ShardPlan",

@@ -47,8 +47,9 @@ refuses grandchildren as a second line of defense.
 
 Worker output is structured: one JSON object per line (UTC timestamp,
 pid, level, shard/replica ids — see :mod:`repro.obs.logs`), written to
-stdout or, when ``config["log_path"]`` is set (the
-``REPRO_CLUSTER_LOG_DIR`` redirect), to the per-replica log file.
+stderr, never into the stdout that carries the parent's results, or,
+when ``config["log_path"]`` is set (the ``REPRO_CLUSTER_LOG_DIR``
+redirect), to the per-replica log file.
 ``repro obs logs <dir>`` merges and pretty-prints a directory of them.
 
 Test hooks (the chaos harness's fault injection) ride in the ``config``
@@ -113,7 +114,7 @@ def worker_main(
     from ..similarity.base import similarity_block
 
     mark_cluster_worker()
-    log = JsonlLogger(shard=shard, replica=replica)
+    log = JsonlLogger(stream=sys.stderr, shard=shard, replica=replica)
 
     # Baselines primed at entry: a fork-started worker's registries are
     # fork copies that already carry the parent's pre-fork history, which

@@ -7,9 +7,10 @@ the number of distinct query timestamps — effectively without limit in a
 production matching service — so every memo table is an :class:`LRUCache`
 with a configurable capacity.
 
-The cache is thread-safe (a single lock around the ordered dict) because
-the thread backend of :mod:`repro.parallel` shares one measure instance —
-and therefore one set of caches — across worker threads.
+The cache is thread-safe (a single lock around the ordered dict): a
+caller's threads may share one measure instance — and therefore one set
+of caches — and so may the metrics exporter's thread, which reads cache
+statistics while a run is scoring.
 """
 
 from __future__ import annotations

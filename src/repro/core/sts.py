@@ -51,7 +51,7 @@ class _SharedTransition:
 
     A named class rather than a lambda so that measures configured with a
     shared transition model (STS-G, STS-F) stay picklable — the process
-    backend of :mod:`repro.parallel` ships the measure to each worker.
+    workers of :mod:`repro.parallel` each receive a copy of the measure.
     """
 
     def __init__(self, model: TransitionModel):
@@ -346,7 +346,6 @@ class STS:
         gallery: Sequence[Trajectory],
         queries: Sequence[Trajectory] | None = None,
         n_jobs: int | None = None,
-        backend: str = "auto",
         checkpoint: str | None = None,
         deadline: float | None = None,
         cluster=None,
@@ -359,13 +358,13 @@ class STS:
         matrix is one :meth:`similarity_block`.
 
         ``n_jobs`` > 1 cuts the matrix into blocks scored by worker
-        processes (or threads — see :class:`repro.parallel.ParallelSTS` and
-        ``backend``); ``-1`` uses every available core.  The parallel
-        matrix matches the serial one bitwise regardless of worker count,
-        and the pool is supervised: dead/hung workers are retried and the
-        backend degrades rather than failing the run.  Process workers
-        read the trajectories from one shared-memory arena, never from a
-        pickled copy.
+        processes (see :class:`repro.parallel.ParallelSTS`); ``-1`` uses
+        every available core.  The parallel matrix matches the serial one
+        bitwise regardless of worker count, and the pool is supervised:
+        dead/hung workers are retried, and a pool that keeps failing or
+        cannot start hands its blocks to in-process scoring rather than
+        failing the run.  Process workers read the trajectories from one
+        shared-memory arena, never from a pickled copy.
 
         ``checkpoint`` names a chunk journal file (atomic write-rename);
         an interrupted run pointed at the same file resumes from the last
@@ -403,7 +402,7 @@ class STS:
         if (n_jobs is not None and n_jobs != 1) or checkpoint is not None or deadline is not None:
             from ..parallel import ParallelSTS
 
-            return ParallelSTS(self, n_jobs=n_jobs, backend=backend).pairwise(
+            return ParallelSTS(self, n_jobs=n_jobs).pairwise(
                 gallery, queries, checkpoint=checkpoint, deadline=deadline
             )
         t_start = perf_counter()

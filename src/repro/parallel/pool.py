@@ -1,12 +1,12 @@
 """Worker-pool plumbing for parallel pairwise similarity.
 
-The process backend ships the measure to each worker **once**, through
-the pool initializer, instead of pickling it into every task.  The
-trajectory corpus travels as a :class:`~repro.parallel.shm.
-SharedTrajectoryArena` handle: the corpus lives in one shared-memory
-block the parent packed, workers attach at initializer time, and the
-only per-call payload is a :class:`Block` of row and column indices.  A
-worker scores its block in one call to the measure's Eq. 10 kernel
+Process workers receive the measure **once**, through the pool
+initializer, instead of pickling it into every task.  The trajectory
+corpus travels as a :class:`~repro.parallel.shm.SharedTrajectoryArena`
+handle: the corpus lives in one shared-memory block the parent packed,
+workers attach at initializer time, and the only per-call payload is a
+:class:`Block` of row and column indices.  A worker scores its block in
+one call to the measure's Eq. 10 kernel
 (:meth:`repro.core.STS.similarity_block`), and results come back as
 ``(row, col, score)`` triples — cheap to serialize and
 order-independent to assemble.
@@ -15,19 +15,14 @@ Workers rebuild their own estimator caches (the measure's LRU caches
 deliberately pickle empty — see :class:`repro.core.cache.LRUCache`), so
 each worker owns a private, race-free working set.
 
-The thread backend shares one measure instance across workers; the
-measure's caches are lock-protected, and the heavy kernels (pocketfft,
-BLAS) release the GIL, so threads help even for CPU-bound scoring when
-processes are unavailable (un-picklable custom models, no shared
-memory).  Threads share the parent address space, so they need no
-arena: the original trajectory lists are used as-is.
+The in-process rung of the supervisor (:mod:`repro.parallel.supervisor`)
+scores the same blocks with :meth:`Block.score` on the caller's own
+measure and trajectory lists; it installs no worker state.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,7 +30,6 @@ __all__ = [
     "Block",
     "resolve_n_jobs",
     "chunk_pairs",
-    "make_executor",
     "mark_cluster_worker",
     "in_cluster_worker",
 ]
@@ -60,18 +54,11 @@ def in_cluster_worker() -> bool:
     """Whether this process is a cluster shard worker."""
     return _IN_CLUSTER_WORKER or os.environ.get(_CLUSTER_WORKER_ENV) == "1"
 
-# Per-process worker state, populated by the pool initializer.  A module
-# global (not an instance attribute) because worker functions must be
-# importable top-level objects for pickling.
+# Per-process worker state, populated by the pool initializer in each
+# process worker (never in the parent).  A module global (not an
+# instance attribute) because worker functions must be importable
+# top-level objects for pickling.
 _WORKER_STATE: dict = {}
-
-
-def _init_worker(measure, gallery, queries) -> None:
-    """Install the thread and serial rungs' scoring state (the parent's objects)."""
-    _WORKER_STATE["measure"] = measure
-    _WORKER_STATE["gallery"] = gallery
-    _WORKER_STATE["queries"] = queries
-    _install_delta_sources()
 
 
 def _init_worker_shm(measure, handle) -> None:
@@ -81,10 +68,16 @@ def _init_worker_shm(measure, handle) -> None:
     zero-copy trajectory views as the scoring state.  The view object is
     kept in the worker state so the mapping outlives the initializer.
     """
+    from ..obs import DeltaSource
     from .shm import SharedTrajectoryArena
 
     _WORKER_STATE["measure"] = measure
-    _install_delta_sources()  # before attach: attach timing is worker work
+    # Primed before attach (attach timing is worker work): a fork-started
+    # worker's registries are fork copies that already carry the parent's
+    # pre-fork history, which must never be credited to this worker.
+    _WORKER_STATE["delta_sources"] = [
+        DeltaSource(registry, prime=True) for registry in _worker_registries()
+    ]
     view = SharedTrajectoryArena.attach(handle)
     _WORKER_STATE["gallery"] = view.gallery
     _WORKER_STATE["queries"] = view.queries
@@ -123,27 +116,23 @@ class Block:
         """``(row, col, score)`` of every owned pair, from the block's matrix."""
         return [(i, j, float(scores[a, b])) for a, b, i, j in self._cells()]
 
+    def score(self, measure, gallery, queries) -> list[tuple[int, int, float]]:
+        """Score the block in one kernel call; ``(row, col, score)`` triples.
 
-def _score_chunk(block: Block) -> list[tuple[int, int, float]]:
-    """Score one block against the worker's state in one kernel call."""
-    from ..obs import trace_span
-    from ..similarity.base import similarity_block
+        ``queries`` holds the row trajectories (``None`` for a
+        self-matrix, whose rows are the ``gallery``).
+        """
+        from ..obs import trace_span
+        from ..similarity.base import similarity_block
 
-    gallery = _WORKER_STATE["gallery"]
-    queries = _WORKER_STATE["queries"]
-    rows = gallery if queries is None else queries
-    with trace_span("parallel.chunk", pairs=len(block)):
-        scores = similarity_block(
-            _WORKER_STATE["measure"],
-            [rows[i] for i in block.rows],
-            None if block.cols is None else [gallery[j] for j in block.cols],
-        )
-    return block.triples(scores)
-
-
-#: Sentinel key marking a process-worker result that carries telemetry
-#: alongside the score triples (see _score_chunk_with_telemetry).
-TELEMETRY_KEY = "__repro_worker_telemetry__"
+        rows = gallery if queries is None else queries
+        with trace_span("parallel.chunk", pairs=len(self)):
+            scores = similarity_block(
+                measure,
+                [rows[i] for i in self.rows],
+                None if self.cols is None else [gallery[j] for j in self.cols],
+            )
+        return self.triples(scores)
 
 
 def _worker_registries() -> list:
@@ -163,33 +152,11 @@ def _worker_registries() -> list:
     return registries
 
 
-def _install_delta_sources() -> None:
-    """(Re)build this worker's delta sources with a primed baseline.
-
-    Called from the pool initializers: priming at initializer time means
-    a fork-started worker's registries — fork copies that already carry
-    the parent's pre-fork history — contribute only work recorded *in
-    this process* to the deltas, never the parent's own.
-    """
-    from ..obs import DeltaSource
-
-    _WORKER_STATE["delta_sources"] = [
-        DeltaSource(registry, prime=True) for registry in _worker_registries()
-    ]
-
-
 def _worker_delta():
     """The merged registry delta since the last task, or ``None``."""
-    from ..obs import DeltaSource, merge_snapshots
+    from ..obs import merge_snapshots
 
-    sources = _WORKER_STATE.get("delta_sources")
-    if sources is None:
-        # No initializer ran (direct task invocation in tests): fall
-        # back to unprimed sources whose first delta is the lifetime
-        # snapshot.
-        sources = _WORKER_STATE["delta_sources"] = [
-            DeltaSource(registry) for registry in _worker_registries()
-        ]
+    sources = _WORKER_STATE["delta_sources"]
     deltas = [d for d in (source.delta() for source in sources) if d]
     if not deltas:
         return None
@@ -199,31 +166,27 @@ def _worker_delta():
     return merged
 
 
-def _score_chunk_with_telemetry(block: Block) -> dict:
+def _score_chunk(block: Block) -> dict:
     """Score ``block`` in a process worker, piggybacking telemetry home.
 
-    Wraps the chunk in a span and returns ``{TELEMETRY_KEY: True,
-    "triples": ..., "delta": ..., "trace": ...}``; the supervisor
-    unwraps it, folds the registry delta into the parent registry under
-    ``process="worker"`` labels, and stitches the span subtree under the
+    Returns ``{"triples": ..., "delta": ..., "trace": ...}``: the
+    supervisor folds the registry delta into the parent registry under
+    ``process="worker"`` labels and stitches the span subtree under the
     dispatching span.  With observability disabled the envelope carries
     only the triples.
     """
     from ..obs import enabled as obs_enabled
 
-    result = {TELEMETRY_KEY: True}
+    state = (_WORKER_STATE["measure"], _WORKER_STATE["gallery"], _WORKER_STATE["queries"])
     if not obs_enabled():
-        result["triples"] = _score_chunk(block)
-        return result
+        return {"triples": block.score(*state)}
     from ..obs import get_tracer, span_payload
 
     with get_tracer().span(
         "parallel.worker-chunk", pairs=len(block), worker_pid=os.getpid()
     ) as span:
-        result["triples"] = _score_chunk(block)
-    result["delta"] = _worker_delta()
-    result["trace"] = span_payload(span)
-    return result
+        triples = block.score(*state)
+    return {"triples": triples, "delta": _worker_delta(), "trace": span_payload(span)}
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -280,36 +243,3 @@ def chunk_pairs(pairs: Sequence, n_workers: int, chunks_per_worker: int = 4) -> 
         return []
     n_chunks = min(len(pairs), max(1, n_workers * chunks_per_worker))
     return [list(pairs[k::n_chunks]) for k in range(n_chunks)]
-
-
-def make_executor(
-    backend: str,
-    n_workers: int,
-    measure,
-    gallery,
-    queries,
-    arena_handle=None,
-) -> Executor:
-    """Build the executor of one rung: ``"process"`` or ``"thread"``.
-
-    Process workers receive the measure and ``arena_handle`` through the
-    pool initializer and attach to the shared-memory arena there, so the
-    corpus is never pickled.  The process rung raises when there is no
-    arena or the measure does not pickle (e.g. a closure-based
-    transition policy); the supervisor then degrades to the thread rung.
-    Thread workers share the measure (its caches are lock-protected) and
-    the parent's own trajectory lists.
-    """
-    if backend == "process":
-        if arena_handle is None:
-            raise RuntimeError("no shared-memory arena to attach workers to")
-        pickle.dumps(measure)
-        return ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker_shm,
-            initargs=(measure, arena_handle),
-        )
-    if backend == "thread":
-        _init_worker(measure, gallery, queries)
-        return ThreadPoolExecutor(max_workers=n_workers)
-    raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")

@@ -30,8 +30,8 @@ Ownership protocol (leak safety)
   shared_memory" warning is emitted at shutdown, while a crashed
   *parent* still gets its segment reaped by the tracker.
 
-The thread and serial rungs of the degradation ladder share the parent
-address space and use the original trajectory lists; they never attach.
+In-process scoring, the last rung of the degradation ladder, uses the
+caller's own trajectory lists and never attaches.
 """
 
 from __future__ import annotations

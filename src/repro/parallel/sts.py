@@ -16,8 +16,9 @@ worker count, block plan, or rung.
 Transport: each call packs the trajectory corpus into one
 :class:`~repro.parallel.shm.SharedTrajectoryArena`; process workers
 attach to it at initializer time and score zero-copy views, so the
-per-call pickle payload is the measure plus bare index chunks.  Thread
-and serial execution share the parent address space and need no arena.
+per-call pickle payload is the measure plus bare index chunks.
+In-process scoring reads the caller's own trajectory lists and needs no
+arena.
 
 Blocks: the rows and columns are each dealt round-robin into index
 groups of equal size, and every (row group, column group) is a block —
@@ -26,9 +27,9 @@ pair is scored exactly once.
 
 Execution is *supervised* (see :mod:`repro.parallel.supervisor`): dead
 workers are detected and their chunks retried with capped exponential
-backoff, hung chunks are timed out, and the backend degrades
-``process → thread → serial`` rather than failing the run.  What
-happened is recorded in the
+backoff, hung chunks are timed out, and a pool that keeps failing or
+cannot start hands its chunks to in-process scoring rather than failing
+the run.  What happened is recorded in the
 :class:`~repro.parallel.supervisor.RunHealth` exposed as
 :attr:`ParallelSTS.last_health`.  Passing ``checkpoint=`` journals
 completed chunks to disk (atomic write-rename) so an interrupted run
@@ -86,20 +87,15 @@ class ParallelSTS:
         Typically :class:`repro.core.STS`, whose blocks are scored by its
         Eq. 10 kernel; any other object with a ``similarity(tra1, tra2)
         -> float`` method is scored entry by entry (see
-        :func:`repro.similarity.base.similarity_block`).  For the process
-        backend it must be picklable; STS and its ablation variants are.
+        :func:`repro.similarity.base.similarity_block`).  Process workers
+        each get a private pickled copy; STS and its ablation variants
+        pickle.  A measure that does not pickle, or a host without an
+        arena, is scored in-process with one ``RuntimeWarning``.
     n_jobs:
-        Worker count; ``-1`` means one per available CPU (``None``/``1``
-        run serially in-process).
-    backend:
-        ``"process"`` (private measure copy per worker, corpus in a
-        shared-memory arena), ``"thread"`` (shared measure,
-        lock-protected caches), or ``"auto"`` (processes when the measure
-        pickles, threads otherwise).  A process rung that cannot start
-        (un-picklable measure, no arena) degrades to threads with one
-        ``RuntimeWarning``.
-    chunk_timeout, max_retries, backoff_base, on_error:
-        Supervision knobs, forwarded to the supervisor — see
+        Worker processes; ``-1`` means one per available CPU
+        (``None``/``1`` run serially in-process).
+    chunk_timeout, on_error:
+        Supervision settings, forwarded to the supervisor — see
         :class:`~repro.parallel.supervisor.SupervisedExecutor`.
 
     Attributes
@@ -114,19 +110,13 @@ class ParallelSTS:
         self,
         measure,
         n_jobs: int | None = -1,
-        backend: str = "auto",
         chunk_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
         on_error: str = "raise",
         registry=None,
     ):
         self.measure = measure
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = backend
         self.chunk_timeout = chunk_timeout
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
         self.on_error = on_error
         self.last_health: RunHealth | None = None
         # Share the measure's registry when it has one, so parallel and
@@ -259,12 +249,11 @@ class ParallelSTS:
                 ),
             )
             done = ckpt.completed
-        backend = self.backend if self.n_jobs > 1 else "serial"
         arena = None
-        if backend in ("auto", "process"):
-            # Only the process rung reads the arena.  Without one (e.g. no
-            # /dev/shm) that rung cannot start, and the supervisor
-            # degrades to threads and announces it.
+        if self.n_jobs > 1:
+            # Only process workers read the arena.  Without one (e.g. no
+            # /dev/shm) the pool cannot start, and the supervisor scores
+            # in-process and announces it.
             try:
                 arena = SharedTrajectoryArena.pack(
                     gallery, queries, registry=self._registry
@@ -277,10 +266,7 @@ class ParallelSTS:
                 list(gallery),
                 list(queries) if queries is not None else None,
                 self.n_jobs,
-                backend=backend,
                 chunk_timeout=self.chunk_timeout,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
                 on_error=self.on_error,
                 deadline=deadline,
                 registry=self._registry,
@@ -290,7 +276,6 @@ class ParallelSTS:
             with trace_span(
                 "parallel.pairwise",
                 n_jobs=self.n_jobs,
-                backend=backend,
                 chunks=len(chunks),
                 shm=arena is not None,
             ):
@@ -312,7 +297,4 @@ class ParallelSTS:
         return out
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelSTS({self.measure!r}, n_jobs={self.n_jobs}, "
-            f"backend={self.backend!r})"
-        )
+        return f"ParallelSTS({self.measure!r}, n_jobs={self.n_jobs})"

@@ -14,20 +14,18 @@ the whole run.
 * **crash detection** — a ``BrokenProcessPool`` fails every in-flight
   chunk; the pool is rebuilt and the unfinished chunks re-dispatched.
 * **retries with capped exponential backoff** — each failed round waits
-  ``backoff_base * 2**round`` seconds (capped at :data:`BACKOFF_MAX`)
+  ``BACKOFF_BASE * 2**(round-1)`` seconds (capped at :data:`BACKOFF_MAX`)
   before re-dispatching, so a transiently sick machine gets air.
 * **progress timeouts** — if no chunk completes within
-  ``chunk_timeout`` seconds the outstanding workers are presumed hung;
-  process workers are killed outright (threads cannot be killed — there
-  the timeout only abandons queued chunks).
-* **graceful degradation** — when a backend exhausts ``max_retries``
-  (or cannot start: no shared-memory arena, an un-picklable measure)
-  the supervisor steps down the ladder ``process → thread → serial``,
-  announcing the step off the process rung once per run.
-  The serial rung runs in the driver process itself: a chunk that still
-  fails there is failing deterministically, and the configured
-  ``on_error`` policy decides between propagating the error and filling
-  the chunk's pairs with NaN.
+  ``chunk_timeout`` seconds the outstanding workers are presumed hung
+  and killed outright.
+* **graceful degradation** — the ladder has two rungs, the process pool
+  and the calling process.  When the pool exhausts :data:`MAX_RETRIES`
+  retries, or cannot start (no shared-memory arena, an un-picklable
+  measure), the remaining chunks are scored in-process, announced once
+  per run.  A chunk that still fails there is failing
+  deterministically, and the configured ``on_error`` policy decides
+  between propagating the error and filling the chunk's pairs with NaN.
 * **score validation** — STS scores are probabilities; a non-finite
   score coming back from a worker marks the chunk corrupt and re-scores
   it.
@@ -40,10 +38,11 @@ happened along the way is recorded in a :class:`RunHealth` report.
 
 from __future__ import annotations
 
+import pickle
 import time
 import warnings
 from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -52,22 +51,18 @@ import numpy as np
 
 from ..errors import ScoreCorruptionError, validate_policy
 from ..obs import adopt_span, get_registry, merge_into_registry
-from .pool import (
-    TELEMETRY_KEY,
-    _init_worker,
-    _score_chunk,
-    _score_chunk_with_telemetry,
-    make_executor,
-)
+from .pool import Block, _init_worker_shm, _score_chunk
 
 __all__ = ["ChunkEvent", "RunHealth", "SupervisedExecutor"]
 
+#: Failed pool rounds retried before the run degrades to in-process scoring.
+MAX_RETRIES = 2
+#: Backoff after the first failed round, in seconds; doubles every round.
+BACKOFF_BASE = 0.05
 #: Cap on the backoff between failed rounds, in seconds.
 BACKOFF_MAX = 2.0
 
 Triple = tuple[int, int, float]
-#: A chunk iterates the ``(row, col)`` pairs it owns (a pool ``Block``).
-Chunk = Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,10 @@ class RunHealth:
     """Structured account of one supervised run.
 
     A clean run has ``ok`` true and empty ``events``; anything the
-    supervisor had to absorb — crashes, retries, backend degradations,
-    skipped chunks — is counted here and detailed in ``events``.
+    supervisor had to absorb — crashes, retries, the step to in-process
+    scoring, skipped chunks — is counted here and detailed in ``events``.
     """
 
-    backend_requested: str = "auto"
     n_chunks: int = 0
     resumed_chunks: int = 0
     rounds: int = 0
@@ -127,7 +121,6 @@ class RunHealth:
     def to_dict(self) -> dict:
         """JSON-serializable form of the health report."""
         return {
-            "backend_requested": self.backend_requested,
             "n_chunks": self.n_chunks,
             "resumed_chunks": self.resumed_chunks,
             "rounds": self.rounds,
@@ -167,19 +160,17 @@ class RunHealth:
         )
 
 
-def _kill_executor(executor, backend: str) -> None:
-    """Tear an executor down hard after a hang.
+def _kill_executor(executor) -> None:
+    """Tear a process pool down hard after a hang or a crash.
 
-    Process workers are killed with SIGKILL — a hung worker will not
-    honour a graceful shutdown.  Threads cannot be killed in CPython;
-    abandoning the executor at least cancels everything still queued.
+    Workers are killed with SIGKILL — a hung worker will not honour a
+    graceful shutdown — and everything still queued is cancelled.
     """
-    if backend == "process":
-        for proc in list(getattr(executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except Exception:  # already dead
-                pass
+    for proc in list(getattr(executor, "_processes", {}).values()):
+        try:
+            proc.kill()
+        except Exception:  # already dead
+            pass
     executor.shutdown(wait=False, cancel_futures=True)
 
 
@@ -189,25 +180,17 @@ class SupervisedExecutor:
     Parameters
     ----------
     measure, gallery, queries:
-        The scoring state: the thread and serial rungs score these
-        objects directly; process workers score the arena's views of them.
+        The scoring state: the in-process rung scores these objects
+        directly; process workers score the arena's views of them.
     n_jobs:
-        Worker count for the pooled rungs.
-    backend:
-        First rung of the ladder: ``"auto"``/``"process"`` start at the
-        process pool, ``"thread"`` at the thread pool, ``"serial"`` runs
-        everything in the driver.
+        Worker count of the process pool.  ``1`` scores every chunk
+        in-process, with no pool.
     chunk_timeout:
         Progress timeout in seconds: if *no* chunk completes for this
         long, outstanding workers are presumed hung.  ``None`` disables
         timeout supervision.
-    max_retries:
-        Failed-round budget per rung before degrading to the next one.
-    backoff_base:
-        Exponential backoff between failed rounds, in seconds (capped at
-        :data:`BACKOFF_MAX`).
     on_error:
-        What to do when the serial rung still fails a chunk:
+        What to do when the in-process rung still fails a chunk:
         ``"raise"`` propagates the original exception, ``"skip"`` (and
         ``"repair"``, which is equivalent at this layer) fills the
         chunk's pairs with NaN and records them as skipped.
@@ -220,21 +203,13 @@ class SupervisedExecutor:
         a checkpoint, so a later unbounded rerun recomputes them.
     arena_handle:
         The :class:`~repro.parallel.shm.ArenaHandle` process workers
-        attach to.  Without one the process rung cannot start and the
-        run degrades to threads.  The thread and serial rungs share the
-        parent address space and ignore it.  Every step off the process
-        rung is announced (warning + fallback counter).
+        attach to.  Without one the pool cannot start and the run scores
+        in-process.  Every step off the process rung is announced
+        (warning + fallback counter).
 
     Non-finite scores are always rejected as chunk corruption: STS
     scores are probabilities.
     """
-
-    _LADDERS = {
-        "auto": ("process", "thread", "serial"),
-        "process": ("process", "thread", "serial"),
-        "thread": ("thread", "serial"),
-        "serial": ("serial",),
-    }
 
     def __init__(
         self,
@@ -242,33 +217,23 @@ class SupervisedExecutor:
         gallery,
         queries,
         n_jobs: int,
-        backend: str = "auto",
         chunk_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
         on_error: str = "raise",
         deadline: float | None = None,
         registry=None,
         arena_handle=None,
     ):
-        if backend not in self._LADDERS:
-            raise ValueError(
-                f"backend must be one of {sorted(self._LADDERS)}, got {backend!r}"
-            )
         self.measure = measure
         self.gallery = gallery
         self.queries = queries
         self.n_jobs = int(n_jobs)
-        self.backend = backend
         self.chunk_timeout = chunk_timeout
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
         self.on_error = validate_policy(on_error)
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
         self.deadline = deadline
         self.arena_handle = arena_handle
-        self.health = RunHealth(backend_requested=backend)
+        self.health = RunHealth()
         self._attempts: dict[int, int] = defaultdict(int)
         self._deadline_at: float | None = None
         reg = registry if registry is not None else get_registry()
@@ -284,12 +249,12 @@ class SupervisedExecutor:
         self._m_resumed = chunk_counter.child(event="resumed")
         self._m_degradations = reg.counter(
             "repro_supervisor_degradations_total",
-            "Backend ladder step-downs (process->thread->serial)",
+            "Ladder step-downs from process workers to in-process scoring",
         )
-        self._m_thread_fallback = reg.counter(
+        self._m_fallback = reg.counter(
             "repro_parallel_shm_fallback_total",
             "Parallel runs that fell back from shared-memory process "
-            "workers to threads",
+            "workers to in-process scoring",
         )
 
     # ------------------------------------------------------------------
@@ -305,7 +270,7 @@ class SupervisedExecutor:
 
     def _shed_remaining(
         self,
-        chunks: Sequence[Chunk],
+        chunks: Sequence[Block],
         todo: Sequence[int],
         results: dict[int, list[Triple]],
     ) -> None:
@@ -336,7 +301,7 @@ class SupervisedExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        chunks: Sequence[Chunk],
+        chunks: Sequence[Block],
         done: dict[int, list[Triple]] | None = None,
         on_chunk_done: Callable[[int, list[Triple]], None] | None = None,
     ) -> dict[int, list[Triple]]:
@@ -360,81 +325,101 @@ class SupervisedExecutor:
         if self.deadline is not None and self._deadline_at is None:
             self._deadline_at = time.monotonic() + self.deadline
 
-        ladder = self._LADDERS[self.backend]
-        rung = 0
-        rounds_on_rung = 0
-        while todo:
-            if self._deadline_expired():
-                self._shed_remaining(chunks, todo, results)
-                todo = []
-                break
-            backend = ladder[rung]
-            if backend == "serial":
-                self._run_serial(chunks, todo, results, on_chunk_done)
-                todo = []
-                break
+        if todo and self.n_jobs > 1:
+            todo = self._run_process_rung(chunks, todo, results, on_chunk_done)
+        if todo and self._deadline_expired():
+            self._shed_remaining(chunks, todo, results)
+        elif todo:
+            self._run_serial(chunks, todo, results, on_chunk_done)
+        return results
+
+    def _run_process_rung(
+        self,
+        chunks: Sequence[Block],
+        todo: list[int],
+        results: dict[int, list[Triple]],
+        on_chunk_done,
+    ) -> list[int]:
+        """Pool rounds until done, out of retries or deadline; returns what is left."""
+        health = self.health
+        while todo and not self._deadline_expired():
+            try:
+                executor = self._start_pool(len(todo))
+            except Exception as exc:
+                # No arena, or an un-picklable measure: nothing was
+                # dispatched, so this is neither a round nor a retry.
+                detail = f"{type(exc).__name__}: {exc}"
+                for k in todo:
+                    health.record(
+                        ChunkEvent(
+                            k,
+                            self._attempts[k] + 1,
+                            "process",
+                            "backend-unavailable",
+                            detail,
+                        )
+                    )
+                self._step_down("backend-unavailable", detail)
+                return todo
             health.rounds += 1
-            rounds_on_rung += 1
-            failed = self._run_pooled(backend, chunks, todo, results, on_chunk_done)
+            failed = self._run_pooled(executor, chunks, todo, results, on_chunk_done)
             todo = [k for k in todo if k not in results]
-            if not todo:
-                break
-            if self._deadline_expired():
-                continue  # shed at the top of the loop, no retry/backoff
+            if not todo or self._deadline_expired():
+                continue  # done, or shed by the caller without retry/backoff
             health.retries += 1
             for k, kind, detail in failed:
                 self._attempts[k] += 1
                 self._m_retried.inc()
-                health.record(
-                    ChunkEvent(k, self._attempts[k], backend, kind, detail)
-                )
-            if rounds_on_rung > self.max_retries or any(
-                kind == "backend-unavailable" for _, kind, _ in failed
-            ):
-                next_backend = ladder[rung + 1]
-                health.degradations.append(f"{backend}->{next_backend}")
-                self._m_degradations.inc(step=f"{backend}->{next_backend}")
-                if backend == "process":
-                    self._announce_thread_fallback(failed[0][1], failed[0][2])
-                rung += 1
-                rounds_on_rung = 0
-            else:
-                delay = min(
-                    BACKOFF_MAX,
-                    self.backoff_base * (2 ** (rounds_on_rung - 1)),
-                )
-                if delay > 0:
-                    time.sleep(delay)
-        return results
+                health.record(ChunkEvent(k, self._attempts[k], "process", kind, detail))
+            if health.rounds > MAX_RETRIES:
+                self._step_down(failed[0][1], failed[0][2])
+                return todo
+            time.sleep(min(BACKOFF_MAX, BACKOFF_BASE * (2 ** (health.rounds - 1))))
+        return todo
 
-    # ------------------------------------------------------------------
-    def _announce_thread_fallback(self, kind: str, detail: str) -> None:
-        """One warning and one counter increment for a step off the process rung.
+    def _start_pool(self, n_todo: int) -> ProcessPoolExecutor:
+        """A process pool whose workers attach to the arena at start.
 
-        Threads share one interpreter, so a silent step down would look
-        like a throughput regression with no cause.
+        Raises when there is no arena or the measure does not pickle
+        (e.g. a closure-based transition policy).
         """
-        self._m_thread_fallback.inc(reason=kind)
+        if self.arena_handle is None:
+            raise RuntimeError("no shared-memory arena to attach workers to")
+        pickle.dumps(self.measure)
+        return ProcessPoolExecutor(
+            max_workers=max(1, min(self.n_jobs, n_todo)),
+            initializer=_init_worker_shm,
+            initargs=(self.measure, self.arena_handle),
+        )
+
+    def _step_down(self, kind: str, detail: str) -> None:
+        """Record the step to in-process scoring; warn and count it once.
+
+        In-process scoring runs on one core, so a silent step down would
+        look like a throughput regression with no cause.
+        """
+        step = "process->serial"
+        self.health.degradations.append(step)
+        self._m_degradations.inc(step=step)
+        self._m_fallback.inc(reason=kind)
         warnings.warn(
-            f"parallel scoring fell back from process workers to threads "
-            f"({kind}: {detail}); expect GIL-bound throughput",
+            f"parallel scoring fell back from process workers to in-process "
+            f"scoring ({kind}: {detail}); expect single-core throughput",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
 
     @staticmethod
     def _validate(triples: list[Triple]) -> bool:
         return bool(np.isfinite([score for _, _, score in triples]).all())
 
-    def _absorb_worker_payload(self, payload):
-        """Unwrap a telemetry envelope; fold its delta, adopt its spans.
+    def _absorb_worker_payload(self, payload: dict) -> list[Triple]:
+        """Unwrap a worker envelope; fold its delta, adopt its spans.
 
         Folding happens at result-unwrap time — before validation — so a
         chunk whose scores are rejected still has its (real) worker-side
         work credited to the fleet series.
         """
-        if not (isinstance(payload, dict) and payload.get(TELEMETRY_KEY)):
-            return payload
         delta = payload.get("delta")
         if delta:
             merge_into_registry(self._registry, delta, {"process": "worker"})
@@ -445,40 +430,23 @@ class SupervisedExecutor:
 
     def _run_pooled(
         self,
-        backend: str,
-        chunks: Sequence[Chunk],
+        executor: ProcessPoolExecutor,
+        chunks: Sequence[Block],
         todo: Sequence[int],
         results: dict[int, list[Triple]],
         on_chunk_done,
     ) -> list[tuple[int, str, str]]:
-        """One dispatch round on a pool; returns ``(chunk, kind, detail)`` failures."""
+        """One dispatch round on ``executor``; returns ``(chunk, kind, detail)`` failures."""
         health = self.health
-        try:
-            executor = make_executor(
-                backend,
-                max(1, min(self.n_jobs, len(todo))),
-                self.measure,
-                self.gallery,
-                self.queries,
-                arena_handle=self.arena_handle,
-            )
-        except Exception as exc:
-            # No arena, or an un-picklable measure on the process rung.
-            return [
-                (k, "backend-unavailable", f"{type(exc).__name__}: {exc}")
-                for k in todo
-            ]
-        if backend not in health.backends_used:
-            health.backends_used.append(backend)
+        if "process" not in health.backends_used:
+            health.backends_used.append("process")
 
         failed: list[tuple[int, str, str]] = []
         pool_broke = False
         hung = False
-        # On the process rung each result carries the worker's registry
-        # delta and span subtree home; thread and serial rungs share the
-        # parent registry/tracer, so wrapping there would double-count.
-        task = _score_chunk_with_telemetry if backend == "process" else _score_chunk
-        futures = {executor.submit(task, chunks[k]): k for k in todo}
+        # Each result carries the worker's registry delta and span
+        # subtree home, in an envelope _absorb_worker_payload unwraps.
+        futures = {executor.submit(_score_chunk, chunks[k]): k for k in todo}
         remaining = set(futures)
         try:
             while remaining:
@@ -537,7 +505,7 @@ class SupervisedExecutor:
                 remaining = not_done
         finally:
             if hung or pool_broke:
-                _kill_executor(executor, backend)
+                _kill_executor(executor)
             else:
                 executor.shutdown(wait=True, cancel_futures=True)
         if pool_broke:
@@ -547,23 +515,22 @@ class SupervisedExecutor:
 
     def _run_serial(
         self,
-        chunks: Sequence[Chunk],
+        chunks: Sequence[Block],
         todo: Sequence[int],
         results: dict[int, list[Triple]],
         on_chunk_done,
     ) -> None:
-        """Last rung: score in the driver process, policy-gated."""
+        """Last rung: score in the calling process, policy-gated."""
         health = self.health
         if "serial" not in health.backends_used:
             health.backends_used.append("serial")
-        _init_worker(self.measure, self.gallery, self.queries)
         for pos, k in enumerate(todo):
             if self._deadline_expired():
                 self._shed_remaining(chunks, todo[pos:], results)
                 return
             attempt = self._attempts[k] + 1
             try:
-                triples = _score_chunk(chunks[k])
+                triples = chunks[k].score(self.measure, self.gallery, self.queries)
                 if not self._validate(triples):
                     health.corrupt_scores += 1
                     raise ScoreCorruptionError(
@@ -596,7 +563,7 @@ class SupervisedExecutor:
                 on_chunk_done(k, triples)
 
     def _score_pairs_individually(
-        self, chunk: Chunk
+        self, chunk: Block
     ) -> tuple[list[Triple], int]:
         """Score a failing chunk one pair at a time, NaN-filling failures."""
         rows = self.gallery if self.queries is None else self.queries

@@ -3,7 +3,7 @@
 The runner scores the committed corpus's ``queries × gallery`` matrix
 through each shipped execution path and compares the results:
 
-* every *production* path (batch, thread/process parallel,
+* every *production* path (batch, process parallel,
   anytime-unbounded, cluster 2×2) must be **bitwise**
   identical to the serial baseline — that is what their docstrings
   promise, and ulp drift of zero is the only acceptable outcome;
@@ -96,16 +96,9 @@ def _run_batch(corpus: VerificationCorpus) -> np.ndarray:
                                      list(corpus.queries))
 
 
-def _run_parallel_thread(corpus: VerificationCorpus) -> np.ndarray:
-    return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="thread")
-
-
 def _run_parallel_process(corpus: VerificationCorpus) -> np.ndarray:
     return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="process")
+                                     list(corpus.queries), n_jobs=2)
 
 
 def _run_anytime(corpus: VerificationCorpus) -> np.ndarray:
@@ -142,10 +135,8 @@ PATHS: Dict[str, PathSpec] = {
         PathSpec("serial", "one similarity() (1x1 block) per cell (baseline)",
                  _run_serial),
         PathSpec("batch", "STS.pairwise, single process", _run_batch),
-        PathSpec("parallel-thread", "STS.pairwise n_jobs=2 backend=thread",
-                 _run_parallel_thread),
         PathSpec("parallel-process",
-                 "STS.pairwise n_jobs=2 backend=process, shared-memory corpus",
+                 "STS.pairwise n_jobs=2, process workers, shared-memory corpus",
                  _run_parallel_process),
         PathSpec("anytime", "anytime_similarity with unbounded budget",
                  _run_anytime),

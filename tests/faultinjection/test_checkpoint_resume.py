@@ -108,7 +108,7 @@ class TestPairwiseJournalResume:
         self, grid, gallery, clean_serial, tmp_path
     ):
         journal = tmp_path / "pairwise.json"
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         first = wrapper.pairwise(gallery, checkpoint=journal)
         assert np.array_equal(first, clean_serial)
         data = json.loads(journal.read_text())
@@ -120,7 +120,7 @@ class TestPairwiseJournalResume:
         data["chunks"] = kept
         journal.write_text(json.dumps(data))
 
-        resumed = ParallelSTS(STS(grid), n_jobs=2, backend="thread")
+        resumed = ParallelSTS(STS(grid), n_jobs=2)
         out = resumed.pairwise(gallery, checkpoint=journal)
         assert np.array_equal(out, clean_serial)
         health = resumed.last_health
@@ -135,7 +135,7 @@ class TestPairwiseJournalResume:
         assert np.array_equal(out, clean_serial)
         assert journal.exists()
         # A full journal means a rerun recomputes nothing.
-        rerun = ParallelSTS(STS(grid), n_jobs=1, backend="serial")
+        rerun = ParallelSTS(STS(grid), n_jobs=1)
         again = rerun.pairwise(gallery, checkpoint=journal)
         assert np.array_equal(again, clean_serial)
         health = rerun.last_health
@@ -143,11 +143,11 @@ class TestPairwiseJournalResume:
 
     def test_journal_fingerprint_mismatch_raises(self, grid, gallery, tmp_path):
         journal = tmp_path / "pairwise.json"
-        ParallelSTS(STS(grid), n_jobs=2, backend="thread").pairwise(
+        ParallelSTS(STS(grid), n_jobs=2).pairwise(
             gallery, checkpoint=journal
         )
         with pytest.raises(CheckpointError, match="different run"):
             # Different gallery size -> different fingerprint.
-            ParallelSTS(STS(grid), n_jobs=2, backend="thread").pairwise(
+            ParallelSTS(STS(grid), n_jobs=2).pairwise(
                 gallery[:3], checkpoint=journal
             )

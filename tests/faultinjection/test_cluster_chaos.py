@@ -37,7 +37,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterMatcher, ClusterService
+from repro.cluster import ClusterService
 from repro.core.grid import Grid
 from repro.core.sts import STS
 from repro.core.trajectory import Trajectory
@@ -117,11 +117,16 @@ class TestScenarioAHealthyParity:
     def test_healthy_topk_bitwise_identical(self, seed):
         gallery = seeded_gallery(seed)
         expected = reference_topk(seed, gallery)
-        with ClusterMatcher(
-            STS(GRID), gallery, grid=GRID, spatial_slack=100.0,
-            n_shards=3, n_replicas=2, registry=MetricsRegistry(),
-        ) as matcher, deadline_guard():
-            report = matcher.query(seeded_query(seed), k=5)
+        registry = MetricsRegistry()
+        measure = STS(GRID)
+        with ClusterService(
+            measure, gallery, n_shards=3, n_replicas=2, registry=registry
+        ) as svc, deadline_guard():
+            matcher = FilteredMatcher(
+                measure, grid=GRID, spatial_slack=100.0, cluster=svc,
+                registry=registry,
+            )
+            report = matcher.query(seeded_query(seed), svc.gallery, k=5)
         assert report.coverage == 1.0
         assert report.shards_skipped == ()
         assert [(m.index, m.score) for m in report.matches] == expected

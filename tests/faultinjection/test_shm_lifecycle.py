@@ -39,12 +39,12 @@ def _segments() -> set[str]:
 
 
 class ProcessAllergicMeasure:
-    """Kills any worker *process* that scores with it; fine in threads.
+    """Kills any worker *process* that scores with it; fine in-process.
 
     Deterministic degradation driver: every process-pool round dies with
-    a SIGKILL-equivalent (``os._exit``), so the supervisor must walk the
-    ladder to the thread rung — where the pid check passes — while the
-    arena it broadcast for the process rung has to be cleaned up.
+    a SIGKILL-equivalent (``os._exit``), so the supervisor must step down
+    to in-process scoring — where the pid check passes — while the arena
+    it broadcast for the process workers has to be cleaned up.
     """
 
     def __init__(self, base):
@@ -64,7 +64,7 @@ class ProcessAllergicMeasure:
 class TestNoLeakedSegments:
     def test_normal_run_leaves_no_segment(self, grid, gallery, clean_serial):
         before = _segments()
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert _segments() <= before
@@ -76,10 +76,7 @@ class TestNoLeakedSegments:
         faulty = FaultyMeasure(
             STS(grid), "crash", ("a", "c"), tmp_path / "crash.token"
         )
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process",
-            max_retries=3, backoff_base=0.0,
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.worker_crashes >= 1
@@ -93,38 +90,30 @@ class TestNoLeakedSegments:
             STS(grid), "hang", ("a", "c"), tmp_path / "hang.token",
             hang_seconds=60.0,
         )
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process",
-            chunk_timeout=1.5, max_retries=3, backoff_base=0.0,
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, chunk_timeout=1.5)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.timeouts >= 1
         assert _segments() <= before
 
-    def test_degradation_to_threads_announces_and_leaves_no_segment(
-        self, grid, gallery, clean_serial
-    ):
+    def test_degradation_leaves_no_segment(self, grid, gallery, clean_serial):
         before = _segments()
-        wrapper = ParallelSTS(
-            ProcessAllergicMeasure(STS(grid)),
-            n_jobs=2, backend="process",
-            max_retries=1, backoff_base=0.0,
-        )
-        with pytest.warns(RuntimeWarning, match="from process workers to threads"):
+        wrapper = ParallelSTS(ProcessAllergicMeasure(STS(grid)), n_jobs=2)
+        with pytest.warns(
+            RuntimeWarning, match="from process workers to in-process scoring"
+        ):
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
-        assert any(step.startswith("process->") for step in health.degradations)
-        assert "thread" in health.backends_used
+        assert health.degradations == ["process->serial"]
+        assert health.backends_used == ["process", "serial"]
         assert _segments() <= before
 
-
-    def test_pack_failure_degrades_to_threads_and_leaves_no_segment(
+    def test_pack_failure_leaves_no_segment(
         self, grid, gallery, clean_serial, monkeypatch
     ):
         # A platform without /dev/shm cannot pack the arena: the process
-        # rung cannot start, and the run degrades to threads, announced
+        # pool cannot start, and the run scores in-process, announced
         # exactly once.
         from repro.obs.registry import MetricsRegistry
 
@@ -134,15 +123,15 @@ class TestNoLeakedSegments:
         monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
         before = _segments()
         registry = MetricsRegistry()
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="auto", registry=registry)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2, registry=registry)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert wrapper.last_health.backends_used[-1] == "thread"
+        assert wrapper.last_health.backends_used == ["serial"]
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
-        assert "from process workers to threads" in str(runtime[0].message)
+        assert "from process workers to in-process scoring" in str(runtime[0].message)
         fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) == 1
         assert _segments() <= before
@@ -188,7 +177,7 @@ gallery = [
     ]
 ]
 serial = STS(grid).pairwise(gallery)
-parallel = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+parallel = ParallelSTS(STS(grid), n_jobs=2)
 assert np.array_equal(parallel.pairwise(gallery), serial)
 print("OK")
 """

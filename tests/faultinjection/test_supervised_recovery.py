@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS
+from repro.parallel.supervisor import MAX_RETRIES
 
 from .faults import FaultyMeasure
 
@@ -22,14 +23,27 @@ def _faulty(grid, kind, tmp_path, **kwargs):
     )
 
 
+class AlwaysFails:
+    """Raises on the target pair every single time (picklable, so the
+    process pool runs it and exhausts its retries)."""
+
+    name = "always-fails"
+
+    def __init__(self, base):
+        self.base = base
+
+    def similarity(self, tra1, tra2):
+        if {tra1.object_id, tra2.object_id} == {"a", "d"}:
+            raise RuntimeError("permanent fault")
+        return self.base.similarity(tra1, tra2)
+
+
 class TestWorkerDeath:
     def test_crashed_worker_chunk_is_retried_bitwise_identical(
         self, grid, gallery, clean_serial, tmp_path
     ):
         faulty = _faulty(grid, "crash", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
@@ -39,7 +53,7 @@ class TestWorkerDeath:
         assert faulty.token.fired
 
     def test_clean_run_reports_healthy(self, grid, gallery, clean_serial):
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.ok
@@ -50,14 +64,7 @@ class TestHang:
         self, grid, gallery, clean_serial, tmp_path
     ):
         faulty = _faulty(grid, "hang", tmp_path, hang_seconds=60.0)
-        wrapper = ParallelSTS(
-            faulty,
-            n_jobs=2,
-            backend="process",
-            chunk_timeout=1.5,
-            max_retries=3,
-            backoff_base=0.0,
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, chunk_timeout=1.5)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
@@ -66,12 +73,9 @@ class TestHang:
 
 
 class TestRaisedError:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_raised_error_is_retried(self, grid, gallery, clean_serial, tmp_path, backend):
+    def test_raised_error_is_retried(self, grid, gallery, clean_serial, tmp_path):
         faulty = _faulty(grid, "raise", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend=backend, max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
@@ -84,9 +88,7 @@ class TestCorruptScore:
         self, grid, gallery, clean_serial, tmp_path
     ):
         faulty = _faulty(grid, "corrupt", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="thread", max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert np.isfinite(out).all()
@@ -99,30 +101,13 @@ class TestDegradationLadder:
     def test_persistent_failure_degrades_and_skip_policy_fills_nan(
         self, grid, gallery, tmp_path
     ):
-        class AlwaysFails:
-            """Raises on the target pair every single time."""
-
-            name = "always-fails"
-
-            def __init__(self, base):
-                self.base = base
-
-            def similarity(self, tra1, tra2):
-                if {tra1.object_id, tra2.object_id} == {"a", "d"}:
-                    raise RuntimeError("permanent fault")
-                return self.base.similarity(tra1, tra2)
-
-        wrapper = ParallelSTS(
-            AlwaysFails(STS(grid)),
-            n_jobs=2,
-            backend="thread",
-            max_retries=1,
-            backoff_base=0.0,
-            on_error="skip",
-        )
-        out = wrapper.pairwise(gallery)
+        wrapper = ParallelSTS(AlwaysFails(STS(grid)), n_jobs=2, on_error="skip")
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            out = wrapper.pairwise(gallery)
         health = wrapper.last_health
-        assert health.degradations == ["thread->serial"]
+        # The pool ran and failed until its retries were spent.
+        assert health.rounds == MAX_RETRIES + 1
+        assert health.degradations == ["process->serial"]
         assert health.skipped_pairs >= 1
         # Only the poisoned pair is NaN; everything else was scored.
         assert np.isnan(out[0, 3]) and np.isnan(out[3, 0])
@@ -131,23 +116,7 @@ class TestDegradationLadder:
         assert np.isfinite(out[mask]).all()
 
     def test_persistent_failure_raises_by_default(self, grid, gallery, tmp_path):
-        class AlwaysFails:
-            name = "always-fails"
-
-            def __init__(self, base):
-                self.base = base
-
-            def similarity(self, tra1, tra2):
-                if {tra1.object_id, tra2.object_id} == {"a", "d"}:
-                    raise RuntimeError("permanent fault")
-                return self.base.similarity(tra1, tra2)
-
-        wrapper = ParallelSTS(
-            AlwaysFails(STS(grid)),
-            n_jobs=2,
-            backend="thread",
-            max_retries=1,
-            backoff_base=0.0,
-        )
-        with pytest.raises(RuntimeError, match="permanent fault"):
-            wrapper.pairwise(gallery)
+        wrapper = ParallelSTS(AlwaysFails(STS(grid)), n_jobs=2)
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            with pytest.raises(RuntimeError, match="permanent fault"):
+                wrapper.pairwise(gallery)

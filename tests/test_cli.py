@@ -105,6 +105,21 @@ class TestCommands:
             query_id = line.split(":")[0]
             assert f"{query_id}: {query_id}" in line
 
+    def test_link_command_cluster_matches_in_process(self, tmp_path, capfd):
+        # Shard workers are forked children: capfd sees what they write to
+        # the inherited descriptors, and stdout must hold only the matches.
+        corpus = tmp_path / "corpus.csv"
+        main(["generate", "--dataset", "taxi", "--size", "3", "--seed", "5", "--out", str(corpus)])
+        link = ["link", "--queries", str(corpus), "--gallery", str(corpus),
+                "--cell", "100", "--sigma", "10", "--top", "2"]
+        capfd.readouterr()
+        assert main(link) == 0
+        in_process = capfd.readouterr().out
+        assert main(link + ["--cluster-shards", "2", "--cluster-replicas", "1"]) == 0
+        clustered = capfd.readouterr().out
+        assert len(in_process.strip().splitlines()) == 3
+        assert clustered == in_process
+
     def test_events_command(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         main(["generate", "--dataset", "mall", "--size", "2", "--seed", "5", "--out", str(corpus)])

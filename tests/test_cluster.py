@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterMatcher, ClusterService, ShardPlan, gallery_keys
+from repro.cluster import ClusterService, ShardPlan, gallery_keys
 from repro.cluster.service import _LatencyTracker
 from repro.core.grid import Grid
 from repro.core.sts import STS
@@ -220,6 +220,8 @@ class TestClusterService:
 
 
 class TestClusterMatcher:
+    """Filtered matching whose refine stage runs on a ClusterService."""
+
     def test_healthy_topk_bitwise_identical_to_filtered_matcher(self):
         grid = Grid(0, 0, 40, 20, cell_size=2.0)
         gallery = make_gallery(10, seed=5)
@@ -227,29 +229,17 @@ class TestClusterMatcher:
         reference = FilteredMatcher(
             STS(grid), grid=grid, spatial_slack=100.0
         ).query(query, gallery, k=5)
-        with ClusterMatcher(
-            STS(grid), gallery, grid=grid, spatial_slack=100.0,
-            n_shards=3, n_replicas=2,
-        ) as matcher:
-            report = matcher.query(query, k=5)
+        measure = STS(grid)
+        with ClusterService(measure, gallery, n_shards=3, n_replicas=2) as svc:
+            matcher = FilteredMatcher(
+                measure, grid=grid, spatial_slack=100.0, cluster=svc
+            )
+            report = matcher.query(query, svc.gallery, k=5)
         assert report.coverage == 1.0
         assert report.complete
         assert [(m.index, m.score) for m in report.matches] == [
             (m.index, m.score) for m in reference.matches
         ]
-
-    def test_adopting_a_service_does_not_close_it(self):
-        grid = Grid(0, 0, 40, 20, cell_size=2.0)
-        gallery = make_gallery(4)
-        measure = STS(grid)
-        svc = ClusterService(measure, gallery, n_shards=2, n_replicas=1)
-        try:
-            with ClusterMatcher(measure, svc.gallery, grid=grid, service=svc):
-                pass
-            scores, report = svc.query_scores(gallery[0])  # still alive
-            assert report.coverage == 1.0
-        finally:
-            svc.close()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -169,7 +170,7 @@ class TestParallelMetrics:
         self, fresh_registry, corpus
     ):
         measure = STS(corpus.make_grid())
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(measure, n_jobs=2)
         wrapper.pairwise(corpus.trajectories[:4])
         health = wrapper.last_health
         assert health.metrics is not None
@@ -192,7 +193,7 @@ class TestParallelMetrics:
             return real_pack(*args, **kwargs)
 
         monkeypatch.setattr(SharedTrajectoryArena, "pack", slow_pack)
-        wrapper = ParallelSTS(STS(corpus.make_grid()), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(corpus.make_grid()), n_jobs=2)
         t0 = time.perf_counter()
         wrapper.pairwise(corpus.trajectories)
         wall = time.perf_counter() - t0
@@ -201,28 +202,28 @@ class TestParallelMetrics:
         assert wall - 0.1 <= recorded <= wall
         assert "repro_parallel_dispatch_seconds" not in histograms
 
-    def test_span_tree_nests_across_thread_backend(
+    def test_span_tree_nests_across_process_workers(
         self, fresh_registry, fresh_tracer, corpus
     ):
         measure = STS(corpus.make_grid())
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(measure, n_jobs=2)
         wrapper.pairwise(corpus.trajectories[:4])
-        roots = fresh_tracer.roots()
-        by_name: dict[str, list] = {}
-        for root in roots:
-            by_name.setdefault(root.name, []).append(root)
-        # The orchestrating span runs on the caller's thread...
-        assert len(by_name["parallel.pairwise"]) == 1
-        parent = by_name["parallel.pairwise"][0]
-        assert parent.attrs["backend"] == "thread"
-        # ...and each worker chunk opens its own root on its worker thread.
-        chunk_spans = by_name["parallel.chunk"]
+        # The orchestrating span is one root of the caller's trace...
+        parents = [r for r in fresh_tracer.roots() if r.name == "parallel.pairwise"]
+        assert len(parents) == 1
+        parent = parents[0]
+        # ...and each worker's chunk subtree comes home stitched under it.
+        chunk_spans = [c for c in parent.children if c.name == "parallel.worker-chunk"]
         assert len(chunk_spans) == parent.attrs["chunks"]
         assert all(s.wall_s >= 0.0 for s in chunk_spans)
-        worker_tids = {s.tid for s in chunk_spans}
-        assert worker_tids  # recorded per-thread ids
+        assert all(
+            [c.name for c in s.children] == ["parallel.chunk"] for s in chunk_spans
+        )
+        assert os.getpid() not in {s.attrs["worker_pid"] for s in chunk_spans}
         events = fresh_tracer.to_chrome_trace()
-        assert {"parallel.pairwise", "parallel.chunk"} <= {e["name"] for e in events}
+        assert {
+            "parallel.pairwise", "parallel.worker-chunk", "parallel.chunk"
+        } <= {e["name"] for e in events}
         json.dumps(events)
 
 

@@ -1,12 +1,15 @@
 """Tests for the parallel pairwise scoring package (:mod:`repro.parallel`).
 
 The contract under test: the parallel matrix equals the serial one to the
-last bit (same scoring code per entry, deterministic assembly), for both
-backends, any worker count, and both the symmetric and query-vs-gallery
-shapes.
+last bit (same scoring code per entry, deterministic assembly), on
+process workers and in-process, for any worker count, and both the
+symmetric and query-vs-gallery shapes.
 """
 
+import gc
 import os
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,12 +17,21 @@ import pytest
 from repro.core.grid import Grid
 from repro.core.sts import STS
 from repro.core.trajectory import Trajectory
+from repro.obs.registry import MetricsRegistry
 from repro.parallel import ParallelSTS, chunk_pairs, resolve_n_jobs
 
 
 @pytest.fixture
 def grid():
     return Grid(0, 0, 40, 20, cell_size=2.0)
+
+
+def _unpicklable_sts(grid):
+    """An STS whose closure-based transition policy cannot cross a process boundary."""
+    from repro.core.speed import GaussianSpeedModel
+    from repro.core.transition import SpeedTransitionModel
+
+    return STS(grid, transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)))
 
 
 @pytest.fixture
@@ -103,23 +115,11 @@ class TestChunkPairs:
 
 
 class TestParallelMatchesSerial:
-    def test_thread_backend_symmetric(self, grid, gallery):
-        serial = STS(grid).pairwise(gallery)
-        parallel = STS(grid).pairwise(gallery, n_jobs=4, backend="thread")
-        assert abs(parallel - serial).max() <= 1e-12
-        assert np.array_equal(parallel, parallel.T)
-
-    def test_thread_backend_query_gallery(self, grid, gallery):
-        serial = STS(grid).pairwise(gallery[:3], queries=gallery[3:])
-        parallel = STS(grid).pairwise(
-            gallery[:3], queries=gallery[3:], n_jobs=2, backend="thread"
-        )
-        assert abs(parallel - serial).max() <= 1e-12
-
     def test_process_backend_symmetric(self, grid, gallery):
         serial = STS(grid).pairwise(gallery)
-        parallel = STS(grid).pairwise(gallery, n_jobs=2, backend="process")
+        parallel = STS(grid).pairwise(gallery, n_jobs=2)
         assert abs(parallel - serial).max() <= 1e-12
+        assert np.array_equal(parallel, parallel.T)
 
     def test_n_jobs_one_delegates_to_serial(self, grid, gallery):
         measure = STS(grid)
@@ -128,49 +128,93 @@ class TestParallelMatchesSerial:
 
     def test_single_pair_passthrough(self, grid, gallery):
         measure = STS(grid)
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(measure, n_jobs=2)
         assert wrapper.similarity(gallery[0], gallery[1]) == measure.similarity(
             gallery[0], gallery[1]
         )
 
     def test_empty_gallery(self, grid):
-        out = ParallelSTS(STS(grid), n_jobs=2, backend="thread").pairwise([])
+        out = ParallelSTS(STS(grid), n_jobs=2).pairwise([])
         assert out.shape == (0, 0)
 
 
 class TestBackendSelection:
     def test_invalid_backend_rejected(self, grid, gallery):
-        with pytest.raises(ValueError, match="backend"):
-            STS(grid).pairwise(gallery, n_jobs=2, backend="fork")
+        # The ladder is fixed (process workers, then the calling process)
+        # and its retry policy is a module constant: none is a parameter.
+        with pytest.raises(TypeError, match="backend"):
+            STS(grid).pairwise(gallery, n_jobs=2, backend="thread")
+        for setting in ({"backend": "auto"}, {"max_retries": 3}, {"backoff_base": 0.0}):
+            with pytest.raises(TypeError, match=next(iter(setting))):
+                ParallelSTS(STS(grid), n_jobs=2, **setting)
 
-    def test_auto_falls_back_to_threads_for_unpicklable_measure(self, grid, gallery):
+    def test_unpicklable_measure_scores_in_process(self, grid, gallery):
         # A closure-based transition policy cannot cross a process
-        # boundary; "auto" must quietly use the thread backend instead.
-        from repro.core.speed import GaussianSpeedModel
-        from repro.core.transition import SpeedTransitionModel
-
-        measure = STS(grid, transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)))
+        # boundary; STS.pairwise(n_jobs=2) scores in-process instead, bitwise.
+        measure = _unpicklable_sts(grid)
         serial = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
         )
-        parallel = ParallelSTS(measure, n_jobs=2, backend="auto").pairwise(gallery)
-        assert abs(parallel - serial).max() <= 1e-12
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            parallel = measure.pairwise(gallery, n_jobs=2)
+        assert np.array_equal(parallel, serial)
 
     def test_process_backend_degrades_for_unpicklable_measure_supervised(
         self, grid, gallery
     ):
-        # The supervised executor steps down the process→thread→serial
-        # ladder instead of failing, and records the degradation.
-        from repro.core.speed import GaussianSpeedModel
-        from repro.core.transition import SpeedTransitionModel
-
-        measure = STS(grid, transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)))
+        # The supervised executor steps down from process workers to
+        # in-process scoring instead of failing, and records the step.
+        measure = _unpicklable_sts(grid)
         serial = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
         )
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="process")
-        parallel = wrapper.pairwise(gallery)
-        assert abs(parallel - serial).max() <= 1e-12
+        wrapper = ParallelSTS(measure, n_jobs=2)
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            parallel = wrapper.pairwise(gallery)
+        assert np.array_equal(parallel, serial)
         assert wrapper.last_health is not None
         assert wrapper.last_health.degradations
         assert "process" not in wrapper.last_health.backends_used
+
+    def test_pool_that_cannot_start_is_not_a_retry(self, grid, gallery):
+        # Nothing was dispatched: no round, no retry, no attempt spent —
+        # only the backend-unavailable events and the one step down.
+        registry = MetricsRegistry()
+        wrapper = ParallelSTS(_unpicklable_sts(grid), n_jobs=2, registry=registry)
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            wrapper.pairwise(gallery)
+        health = wrapper.last_health
+        assert health.n_chunks == 10
+        assert health.rounds == 0
+        assert health.retries == 0
+        assert health.degradations == ["process->serial"]
+        assert health.backends_used == ["serial"]
+        assert [e.kind for e in health.events] == ["backend-unavailable"] * 10
+        assert {e.attempt for e in health.events} == {1}
+        chunks = registry.snapshot()["counters"]["repro_supervisor_chunks_total"]
+        assert chunks.get('event="retried"', 0) == 0
+        assert chunks['event="completed"'] == 10
+
+
+class TestInProcessScoringKeepsNoState:
+    """In-process scoring leaves nothing of the call in module state."""
+
+    @pytest.mark.parametrize("path", ["checkpoint", "unpicklable-fallback"])
+    def test_measure_released_after_the_call(self, grid, gallery, tmp_path, path):
+        from repro.parallel import pool
+
+        if path == "checkpoint":
+            measure, n_jobs = STS(grid), 1
+            call = {"checkpoint": str(tmp_path / "pairwise.ckpt")}
+        else:
+            measure, n_jobs = _unpicklable_sts(grid), 2
+            call = {}
+        alive = weakref.ref(measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = ParallelSTS(measure, n_jobs=n_jobs).pairwise(gallery, **call)
+        assert np.isfinite(out).all()
+        del measure
+        gc.collect()
+        assert alive() is None
+        assert pool._WORKER_STATE == {}

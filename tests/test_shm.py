@@ -98,25 +98,30 @@ class TestArenaRoundtrip:
 class TestParallelShmParity:
     def test_process_shm_matches_serial_bitwise(self, grid, gallery):
         serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
-        assert np.array_equal(serial, wrapper.pairwise(gallery))
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
+        # A healthy process run never announces a fallback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = wrapper.pairwise(gallery)
+        assert np.array_equal(serial, out)
+        assert wrapper.last_health.backends_used == ["process"]
 
     def test_query_vs_gallery_shape(self, grid, gallery):
         serial = STS(grid).pairwise(gallery[:3], queries=gallery[3:])
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         assert np.array_equal(
             serial, wrapper.pairwise(gallery[:3], queries=gallery[3:])
         )
 
     def test_no_arena_packed_for_single_worker(self, grid, gallery, monkeypatch):
-        # n_jobs=1 runs on the serial rung even when a deadline forces
-        # the supervised path; packing an arena there would be pure
-        # waste, never attached by anyone.
+        # n_jobs=1 scores in-process even when a deadline forces the
+        # supervised path; packing an arena there would be pure waste,
+        # never attached by anyone.
         packed = []
         monkeypatch.setattr(
             SharedTrajectoryArena, "pack", lambda *args, **kwargs: packed.append(args)
         )
-        wrapper = ParallelSTS(STS(grid), n_jobs=1, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=1)
         out = wrapper.pairwise(gallery, deadline=60.0)
         assert packed == []
         assert np.array_equal(out, STS(grid).pairwise(gallery))
@@ -133,22 +138,18 @@ class TestFallbackAnnouncement:
             transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)),
         )
         registry = MetricsRegistry()
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="auto", registry=registry)
-        with pytest.warns(RuntimeWarning, match="from process workers to threads"):
+        wrapper = ParallelSTS(measure, n_jobs=2, registry=registry)
+        with pytest.warns(
+            RuntimeWarning, match="from process workers to in-process scoring"
+        ):
             out = wrapper.pairwise(gallery)
         expected = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
         )
-        assert np.allclose(out, expected)
+        assert np.array_equal(out, expected)
         snapshot = registry.snapshot()
         fallback = snapshot["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) >= 1
-
-    def test_thread_backend_never_warns(self, grid, gallery):
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="thread")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            wrapper.pairwise(gallery)
 
 
 class TestCheckpointFingerprint:
@@ -161,9 +162,7 @@ class TestCheckpointFingerprint:
         from repro.errors import CheckpointError
 
         path = tmp_path / "pairwise.ckpt"
-        ParallelSTS(STS(grid), n_jobs=2, backend="thread").pairwise(
-            gallery, checkpoint=str(path)
-        )
+        ParallelSTS(STS(grid), n_jobs=2).pairwise(gallery, checkpoint=str(path))
         journal = json.loads(path.read_text())
         assert journal["fingerprint"] == {
             "kind": "pairwise",
@@ -176,7 +175,7 @@ class TestCheckpointFingerprint:
             "symmetric": True,
             "chunking": "count",
         }
-        resumed = ParallelSTS(STS(grid), n_jobs=2, backend="thread")
+        resumed = ParallelSTS(STS(grid), n_jobs=2)
         out = resumed.pairwise(gallery, checkpoint=str(path))
         assert resumed.last_health.resumed_chunks == resumed.last_health.n_chunks == 10
         assert np.array_equal(out, STS(grid).pairwise(gallery))
@@ -184,9 +183,7 @@ class TestCheckpointFingerprint:
         journal["fingerprint"]["chunking"] = "cost"
         path.write_text(json.dumps(journal))
         with pytest.raises(CheckpointError, match="different run"):
-            ParallelSTS(STS(grid), n_jobs=2, backend="thread").pairwise(
-                gallery, checkpoint=str(path)
-            )
+            ParallelSTS(STS(grid), n_jobs=2).pairwise(gallery, checkpoint=str(path))
 
     def test_journal_of_pair_list_chunks_is_refused(self, grid, gallery, tmp_path):
         # A journal whose chunks were pair lists has the same counts as a
@@ -207,10 +204,10 @@ class TestCheckpointFingerprint:
     def test_checkpoint_resume_still_works_with_shm(self, grid, gallery, tmp_path):
         path = str(tmp_path / "pairwise.ckpt")
         serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         first = wrapper.pairwise(gallery, checkpoint=path)
         assert os.path.exists(path)
-        resumed = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        resumed = ParallelSTS(STS(grid), n_jobs=2)
         second = resumed.pairwise(gallery, checkpoint=path)
         assert resumed.last_health.resumed_chunks == resumed.last_health.n_chunks
         assert np.array_equal(first, serial)

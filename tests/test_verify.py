@@ -148,14 +148,14 @@ class TestRelations:
 class TestDiffRunner:
     # In-process paths only: the process and cluster paths are
     # exercised by `repro verify` itself (run in the CI verify job).
-    LIGHT_PATHS = ["batch", "parallel-thread", "anytime", "oracle"]
+    LIGHT_PATHS = ["batch", "anytime", "oracle"]
 
     def test_light_paths_pass_bitwise(self, corpus):
         report = run_verification(paths=self.LIGHT_PATHS, relations=[],
                                   corpus=corpus)
         assert report.passed
         by_name = {c.name: c for c in report.checks}
-        for name in ("batch", "parallel-thread", "anytime"):
+        for name in ("batch", "anytime"):
             assert by_name[name].max_ulp == 0
             assert by_name[name].tolerance is None
         assert by_name["oracle"].max_abs_diff <= ORACLE_ATOL
