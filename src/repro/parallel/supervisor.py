@@ -343,11 +343,19 @@ class SupervisedExecutor:
         """Pool rounds until done, out of retries or deadline; returns what is left."""
         health = self.health
         while todo and not self._deadline_expired():
+            executor = None
             try:
                 executor = self._start_pool(len(todo))
+                # The pool starts its workers on the first submit.  Each
+                # result carries the worker's registry delta and span
+                # subtree home, in an envelope _absorb_worker_payload unwraps.
+                futures = {executor.submit(_score_chunk, chunks[k]): k for k in todo}
             except Exception as exc:
-                # No arena, or an un-picklable measure: nothing was
-                # dispatched, so this is neither a round nor a retry.
+                # No arena, an un-picklable measure, or workers that
+                # could not start: no chunk ran, so this is neither a
+                # round nor a retry.
+                if executor is not None:
+                    _kill_executor(executor)
                 detail = f"{type(exc).__name__}: {exc}"
                 for k in todo:
                     health.record(
@@ -362,7 +370,7 @@ class SupervisedExecutor:
                 self._step_down("backend-unavailable", detail)
                 return todo
             health.rounds += 1
-            failed = self._run_pooled(executor, chunks, todo, results, on_chunk_done)
+            failed = self._run_pooled(executor, futures, results, on_chunk_done)
             todo = [k for k in todo if k not in results]
             if not todo or self._deadline_expired():
                 continue  # done, or shed by the caller without retry/backoff
@@ -431,12 +439,14 @@ class SupervisedExecutor:
     def _run_pooled(
         self,
         executor: ProcessPoolExecutor,
-        chunks: Sequence[Block],
-        todo: Sequence[int],
+        futures: dict,
         results: dict[int, list[Triple]],
         on_chunk_done,
     ) -> list[tuple[int, str, str]]:
-        """One dispatch round on ``executor``; returns ``(chunk, kind, detail)`` failures."""
+        """Collect one dispatched round; returns ``(chunk, kind, detail)`` failures.
+
+        ``futures`` maps each submitted future to its chunk index.
+        """
         health = self.health
         if "process" not in health.backends_used:
             health.backends_used.append("process")
@@ -444,9 +454,6 @@ class SupervisedExecutor:
         failed: list[tuple[int, str, str]] = []
         pool_broke = False
         hung = False
-        # Each result carries the worker's registry delta and span
-        # subtree home, in an envelope _absorb_worker_payload unwraps.
-        futures = {executor.submit(_score_chunk, chunks[k]): k for k in todo}
         remaining = set(futures)
         try:
             while remaining:

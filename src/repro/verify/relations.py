@@ -47,16 +47,26 @@ Catalogue (equation references are to PAPER.md):
     every query × gallery score of a default measure equals the score of
     a measure with ``stp_cache_size=0`` and of a measure that scores the
     pairs in reverse order, warming its caches as it goes (bitwise).
+``grid_extent``
+    Padding the grid with whole empty cells changes no score: an STP
+    lives on its observations' frames (noise support plus kernel reach),
+    so the grid's extent beyond them never enters a convolution.  The
+    corpus self-matrix on its grid padded by 20 cells equals the matrix
+    on its grid padded by 40 (bitwise), whose cell centres coincide
+    (bitwise).  Both grids are padded: the corpus's own grid clips
+    noise mass at its edge, which does change scores.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.grid import Grid
 from ..core.trajectory import Trajectory
 from ..serving.anytime import anytime_similarity, filter_only_estimate
 from ..serving.budget import Budget
@@ -323,6 +333,29 @@ def _run_cache_invariance(corpus: VerificationCorpus) -> List[RelationResult]:
     return out
 
 
+def _padded(grid: Grid, cells: int) -> Grid:
+    pad = cells * grid.cell_size
+    return Grid(grid.min_x - pad, grid.min_y - pad, grid.max_x + pad,
+                grid.max_y + pad, cell_size=grid.cell_size)
+
+
+def _run_grid_extent(corpus: VerificationCorpus) -> List[RelationResult]:
+    near, far = _padded(corpus.grid, 20), _padded(corpus.grid, 40)
+    rows, cols = np.divmod(np.arange(near.n_cells), near.n_cols)
+    same_cell = (rows + 20) * far.n_cols + cols + 20
+    aligned = (far.n_cols == near.n_cols + 40 and far.n_rows == near.n_rows + 40
+               and np.array_equal(far.centers()[same_cell], near.centers()))
+    out = [_result("grid_extent", "cell-centres", 0.0 if aligned else math.inf,
+                   0.0, detail=f"{near!r} inside {far!r}")]
+    everything = corpus.gallery + corpus.queries
+    scores = [dataclasses.replace(corpus, grid=grid).measure()
+              .similarity_block(everything) for grid in (near, far)]
+    for tra, a, b in zip(everything, *scores):
+        out.append(_result("grid_extent", f"{tra.object_id}:pad-20-vs-40",
+                           float(np.max(np.abs(a - b))), 0.0))
+    return out
+
+
 RELATIONS: Dict[str, Relation] = {
     rel.name: rel
     for rel in (
@@ -352,6 +385,9 @@ RELATIONS: Dict[str, Relation] = {
                  "memoized kernels and results change no score: default "
                  "= no cache = reverse pair order, bitwise",
                  _run_cache_invariance),
+        Relation("grid_extent", "Eqs. 3–5",
+                 "padding the grid with whole empty cells changes no "
+                 "score, bitwise", _run_grid_extent),
     )
 }
 

@@ -109,6 +109,42 @@ class TestNoLeakedSegments:
         assert health.backends_used == ["process", "serial"]
         assert _segments() <= before
 
+    def test_workers_that_cannot_start_score_in_process(
+        self, grid, gallery, clean_serial, monkeypatch
+    ):
+        # The pool forks its workers on the first submit.  A fork that
+        # fails (EAGAIN: out of process ids) is a pool that cannot start:
+        # no round, no retry, one announced step down, no segment left.
+        import errno
+        import multiprocessing.process
+
+        from repro.obs.registry import MetricsRegistry
+
+        def no_fork(self):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        before = _segments()
+        registry = MetricsRegistry()
+        wrapper = ParallelSTS(STS(grid), n_jobs=2, registry=registry)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = wrapper.pairwise(gallery)
+        assert np.array_equal(out, clean_serial)
+        health = wrapper.last_health
+        assert health.rounds == 0
+        assert health.retries == 0
+        assert health.degradations == ["process->serial"]
+        assert health.backends_used == ["serial"]
+        assert {e.kind for e in health.events} == {"backend-unavailable"}
+        assert {e.attempt for e in health.events} == {1}
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "Errno 11" in str(runtime[0].message)
+        fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
+        assert sum(fallback.values()) == 1
+        assert _segments() <= before
+
     def test_pack_failure_leaves_no_segment(
         self, grid, gallery, clean_serial, monkeypatch
     ):

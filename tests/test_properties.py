@@ -12,7 +12,7 @@ Covers the invariants the paper's math promises:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.grid import Grid
@@ -106,9 +106,17 @@ class TestSTSProperties:
         assert also == pytest.approx(base, abs=1e-9)
 
 
+#: Timestamps 7.6, 20.9 and 25.599999999999998: at ``frac = 1.0`` the
+#: interpolated time rounds to 25.6, one ulp past the end of the span.
+ULP_PAST_END = Trajectory(
+    [TrajectoryPoint(10.0, 10.0, t) for t in np.cumsum([7.6, 13.3, 4.7]).tolist()]
+)
+
+
 class TestSTPProperties:
     @SLOW
     @given(a=trajectories(), frac=st.floats(0.0, 1.0, allow_nan=False))
+    @example(a=ULP_PAST_END, frac=1.0)
     def test_stp_normalized_inside_span(self, a, frac):
         stp = TrajectorySTP(
             a,
@@ -116,7 +124,9 @@ class TestSTPProperties:
             GaussianNoiseModel(3.0),
             SpeedTransitionModel(KDESpeedModel.from_trajectory(a)),
         )
-        t = a.start_time + frac * (a.end_time - a.start_time)
+        # The interpolation can round past the end, where stp is
+        # (correctly) empty: clamp it into the span.
+        t = min(a.start_time + frac * (a.end_time - a.start_time), a.end_time)
         cells, probs = stp.stp(t)
         assert len(cells) == len(probs)
         assert probs.sum() == pytest.approx(1.0)

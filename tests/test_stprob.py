@@ -144,6 +144,15 @@ class TestModeAgreement:
         fft = make_stp(walker, grid)
         np.testing.assert_allclose(fft.stp_dense(t), dense.stp_dense(t), atol=1e-9)
 
+    @pytest.mark.parametrize("t", [1.0, 6.5, 10.0, 15.3, 19.0])
+    def test_fft_matches_dense_on_frames_inside_the_grid(self, walker, t):
+        # 40 m of margin: every frame, and so every window, is cropped
+        # on both axes, and kept cells map back through a cell table.
+        grid = Grid(-40, -40, 80, 60, cell_size=2.0)
+        dense = self.summed(walker, grid, reach=False)
+        fft = make_stp(walker, grid)
+        np.testing.assert_allclose(fft.stp_dense(t), dense.stp_dense(t), atol=1e-9)
+
     def test_fft_matches_dense_with_deterministic_noise(self, grid, walker):
         dense = self.summed(walker, grid, reach=False, noise=DeterministicNoiseModel())
         fft = make_stp(walker, grid, noise=DeterministicNoiseModel())
@@ -243,6 +252,26 @@ class TestFrequencyBackend:
         assert len(stp.stp(4.0)[0]) == 0  # outside span
 
 
+class TestDisjointReaches:
+    """A bridged query whose two observations' reaches miss each other."""
+
+    def test_falls_back_like_explicit_summation(self):
+        # 300 m in 20 s under a ~1 m/s speed law: no cell is reachable
+        # from both observations, so Eq. 4 is 0/0 everywhere, and both
+        # evaluators place the mass on the interpolated cell.
+        grid = Grid(0, 0, 400, 200, cell_size=5.0)
+        traj = Trajectory.from_arrays([50.0, 350.0], [100.0, 100.0], [0.0, 20.0])
+        model = SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3))
+        fft = make_stp(traj, grid, noise=GaussianNoiseModel(5.0), transition=model)
+        summed = make_stp(traj, grid, noise=GaussianNoiseModel(5.0), transition=Summed(model))
+        for t in (5.0, 10.0, 15.0):
+            cell = fft._fallback(t, 0)[0].tolist()
+            for cells, probs in (fft.stp(t), summed.stp(t)):
+                assert cells.tolist() == cell
+                assert probs.tolist() == [1.0]
+        assert fft._fft_geometry().windows == [None]  # the frames do not meet
+
+
 class TestCacheStats:
     def test_counts_grow_with_queries_and_reset_on_clear(self, grid, walker):
         stp = make_stp(walker, grid)
@@ -271,7 +300,7 @@ class TestCacheStats:
 class TestFFTChunks:
     """Bridged times of one call share FFT round trips across segments."""
 
-    @pytest.mark.parametrize("budget", [stprob.FFT_CHUNK_BYTES, 60_000])  # 73 and 4 queries
+    @pytest.mark.parametrize("budget", [stprob.FFT_CHUNK_BYTES, 60_000])  # 94 and 5 queries
     def test_round_trips_per_chunk_not_per_segment(self, grid, walker, monkeypatch, budget):
         times = [float(t + f) for t in walker.timestamps[:-1] for f in (0.5, 2.0, 3.5)]
         reference = make_stp(walker, grid).stp_batch(times)
@@ -286,7 +315,7 @@ class TestFFTChunks:
 
         monkeypatch.setattr(stprob._fft, "irfft2", spy)
         got = stp.stp_batch(times)
-        chunk = stp._fft_geometry()[3]
+        chunk = stp._fft_geometry().chunk
         assert len(calls) <= math.ceil(len(times) / chunk) < 2 * 5
         assert sum(calls) == 2 * len(times)  # a forward and a backward kernel each
         for (cells, probs), (ref_cells, ref_probs) in zip(got, reference):
@@ -301,7 +330,7 @@ class TestFFTChunks:
             walker, grid, GaussianNoiseModel(3.0),
             SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)), cache_size=0,
         )
-        assert stp._fft_geometry()[2] == (60, 60)
+        assert stp._fft_geometry().shape == (45, 45)
         rng = np.random.default_rng(2)
         stp.stp_batch([10.0])  # plan caches and lazy geometry outside the measurement
 
@@ -323,19 +352,22 @@ def reference_fft_chunk(stp, los, ts):
     """Eq. 4 for one FFT chunk, one kernel and one query at a time.
 
     The per-query loop that ``TrajectorySTP._fft_chunk`` batches, kept as
-    its reference.  Each kernel is evaluated at its own ``dt``: on its
-    canvas's unique lattice distances when there are more than 64 of
-    them, else on the whole canvas.  Each is embedded with its own slice
-    assignment, and each query is normalized in its own pass.
+    its reference, on the estimator's frame geometry.  Each kernel is
+    evaluated at its own ``dt``: on its canvas's unique lattice distances
+    when there are more than 64 of them, else on the whole canvas.  Each
+    is embedded with its own slice assignment and convolved with its own
+    plane in its own round trip.  Each query's product is taken on the
+    intersection of its two frames, rebuilt here from the noise supports,
+    and normalized in its own pass.
     """
     stamps = stp.trajectory.timestamps
     grid, model = stp.grid, stp.transition_model
-    half_r, half_c, fft_shape, _ = stp._fft_geometry()
+    geom = stp._fft_geometry()
+    halves = np.array([geom.half_r, geom.half_c])
+    dims = np.array([grid.n_rows, grid.n_cols])
     series = stp._span_buckets()
-    q = len(ts)
-    dts = np.concatenate([ts - stamps[los], stamps[los + 1] - ts])
-    stack = np.zeros((2 * q, 2 * half_r + 1, 2 * half_c + 1))
-    for i, dt in enumerate(dts.tolist()):
+
+    def kernel_canvas(dt):
         span = int(np.ceil(model.reachable_radius(dt) / grid.cell_size)) + 1
         bucket = int(series[min(np.searchsorted(series, span), series.size - 1)])
         h_r, h_c = min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
@@ -346,30 +378,50 @@ def reference_fft_chunk(stp, los, ts):
             kernel = model.distance_weights(unique, dt)[inverse].reshape(dist.shape)
         else:
             kernel = model.distance_weights(dist, dt)
-        stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernel
-    spectra = stprob._fft.rfft2(stack, s=fft_shape)
-    planes = stp._plane_spectra(np.union1d(los, los + 1).tolist(), fft_shape)
-    for lo, group in stprob._segments(los):
-        spectra[group] *= planes[lo]
-        spectra[q + group.start : q + group.stop] *= planes[lo + 1]
-    conv = stprob._fft.irfft2(spectra, s=fft_shape)[
-        :, half_r : half_r + grid.n_rows, half_c : half_c + grid.n_cols
-    ]
+        canvas = np.zeros(2 * halves + 1)
+        canvas[geom.half_r - h_r : geom.half_r + h_r + 1,
+               geom.half_c - h_c : geom.half_c + h_c + 1] = kernel
+        return canvas
+
+    def convolve(obs, dt):
+        """Observation ``obs``'s convolution, its frame and its origin."""
+        cells, probs = stp._observed[obs]
+        at = np.column_stack([cells // grid.n_cols, cells % grid.n_cols])
+        frame = (np.maximum(0, at.min(axis=0) - halves),
+                 np.minimum(dims, at.max(axis=0) + 1 + halves))
+        plane = np.zeros(geom.shape)
+        plane[tuple((at - geom.origins[obs]).T)] = probs
+        spectrum = stprob._fft.rfft2(kernel_canvas(dt), s=geom.shape)
+        spectrum *= stprob._fft.rfft2(plane)
+        return stprob._fft.irfft2(spectrum, s=geom.shape), frame, geom.origins[obs]
+
     results = []
-    for i in range(q):
-        unnorm = (conv[i] * conv[q + i]).ravel()
+    for lo, t in zip(los.tolist(), ts.tolist()):
+        fwd, (f0, f1), f_origin = convolve(lo, t - stamps[lo])
+        bwd, (b0, b1), b_origin = convolve(lo + 1, stamps[lo + 1] - t)
+        w0, w1 = np.maximum(f0, b0), np.minimum(f1, b1)
+        if (w0 >= w1).any():  # the two reaches miss each other
+            results.append(stp._fallback(t, lo))
+            continue
+
+        def window(conv, origin):
+            (r0, c0), (r1, c1) = w0 - origin + halves, w1 - origin + halves
+            return conv[r0:r1, c0:c1]
+
+        unnorm = (window(fwd, f_origin) * window(bwd, b_origin)).ravel()
         np.clip(unnorm, 0.0, None, out=unnorm)
         total = float(unnorm.sum())
         if total <= 0.0 or not np.isfinite(total):
-            results.append(stp._fallback(float(ts[i]), int(los[i])))
+            results.append(stp._fallback(t, lo))
             continue
         probs = unnorm / total
-        cells = np.nonzero(probs > stprob._SPARSE_EPS)[0]
-        if cells.size == 0:
-            results.append(stp._fallback(float(ts[i]), int(los[i])))
+        local = np.nonzero(probs > stprob._SPARSE_EPS)[0]
+        if local.size == 0:
+            results.append(stp._fallback(t, lo))
             continue
-        kept = probs[cells]
-        results.append((cells, kept / kept.sum()))
+        rows, cols = np.divmod(local, w1[1] - w0[1])
+        kept = probs[local]
+        results.append(((rows + w0[0]) * grid.n_cols + cols + w0[1], kept / kept.sum()))
     return results
 
 
