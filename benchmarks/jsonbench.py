@@ -27,19 +27,25 @@ HISTORY_LIMIT = 20
 
 
 def _git_sha() -> str | None:
-    """The current commit SHA, or None outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
+    """The current commit SHA, or None outside a git checkout.
+
+    A tree whose tracked files differ from that commit gets the SHA plus
+    ``-dirty``: its timings are not the commit's.
+    """
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        diff = git("diff", "--quiet", "HEAD", "--")
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    sha = head.stdout.strip()
+    if head.returncode != 0 or not sha:
+        return None
+    return f"{sha}-dirty" if diff.returncode == 1 else sha
 
 
 def _stats(times: list[float]) -> dict:

@@ -396,6 +396,40 @@ class TestBenchHistory:
         path = jsonbench.write_report("BENCH_y.json", {"configs": {}})
         assert len(json.loads(path.read_text())["history"]) == 1
 
+    def test_uncommitted_tree_is_not_credited_to_head(self, tmp_path, monkeypatch):
+        import importlib.util
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+        spec = importlib.util.spec_from_file_location(
+            "jsonbench_under_test3", bench_dir / "jsonbench.py"
+        )
+        jsonbench = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = jsonbench
+        spec.loader.exec_module(jsonbench)
+        monkeypatch.setattr(jsonbench, "REPO_ROOT", tmp_path)
+
+        def git(*args: str) -> str:
+            identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+            command = ["git", "-C", str(tmp_path), *identity, "-c", "commit.gpgsign=false"]
+            done = subprocess.run([*command, *args], capture_output=True, text=True, check=True)
+            return done.stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        git("add", "code.py")
+        git("commit", "-q", "-m", "code")
+        sha = git("rev-parse", "HEAD")
+        path = jsonbench.write_report("BENCH_z.json", {"configs": {}})
+        assert json.loads(path.read_text())["history"][-1]["git_sha"] == sha
+
+        (tmp_path / "code.py").write_text("x = 2\n")
+        path = jsonbench.write_report("BENCH_z.json", {"configs": {}})
+        shas = [record["git_sha"] for record in json.loads(path.read_text())["history"]]
+        assert shas == [sha, f"{sha}-dirty"]
+
 
 class TestPickleRoundTrips:
     def test_sts_pickles_without_registry_state(self, fresh_registry, corpus):
