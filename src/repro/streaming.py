@@ -740,6 +740,33 @@ class StreamingColocationDetector:
                 )
         return health
 
+    @staticmethod
+    def _block_values(
+        measure, pairs: list[tuple[str, str]], windows: dict[str, Trajectory], target
+    ) -> list[float] | None:
+        """Every pair's score from one block, or ``None`` to score pair by pair.
+
+        ``target`` (:meth:`companions_of`) is scored as one ``1 × k``
+        block against its partners; otherwise every window of ``pairs``
+        is scored as one self block.  A block entry is bitwise the 1×1
+        call on its pair.  A measure without ``similarity_block``, or a
+        block that raises :class:`~repro.errors.ReproError`, returns
+        ``None``.
+        """
+        block = getattr(measure, "similarity_block", None)
+        if block is None or not pairs:
+            return None
+        try:
+            if target is not None:
+                row = block([windows[target]], [windows[b] for _a, b in pairs])[0]
+                return row.tolist()
+            objects = sorted({oid for pair in pairs for oid in pair})
+            matrix = block([windows[oid] for oid in objects])
+        except ReproError:
+            return None
+        at = {oid: i for i, oid in enumerate(objects)}
+        return [float(matrix[at[a], at[b]]) for a, b in pairs]
+
     def _score_pairs(
         self,
         pairs: list[tuple[str, str]],
@@ -747,13 +774,22 @@ class StreamingColocationDetector:
         budget: Budget,
         health: ServiceHealth,
         threshold: float,
+        target: str | None = None,
     ) -> list[PairScore]:
         """Score ``pairs`` in order under ``budget``; the shared engine of
-        :meth:`evaluate` and :meth:`companions_of`."""
+        :meth:`evaluate` and :meth:`companions_of`.
+
+        Without a deadline the scores come from one block
+        (:meth:`_block_values`); the breaker, the threshold and the health
+        accounting are then applied pair by pair, in order, as when each
+        pair is scored on its own.  A deadline scores pair by pair through
+        the degradation ladder.
+        """
         measure = self._make_measure()
         scorer = (
             DeadlineScorer(measure, registry=self._registry) if budget.bounded else None
         )
+        values = None if budget.bounded else self._block_values(measure, pairs, windows, target)
         scores: list[PairScore] = []
         for idx, (a, b) in enumerate(pairs):
             if budget.bounded and budget.expired():
@@ -798,7 +834,10 @@ class StreamingColocationDetector:
                         rung=result.rung, completed=result.completed,
                     )
                 else:
-                    value = measure.similarity(windows[a], windows[b])
+                    value = (
+                        values[idx] if values is not None
+                        else measure.similarity(windows[a], windows[b])
+                    )
                     health.take_rung("full", f"{a}~{b}")
                     self.breaker.record_success(key)
                     pair_score = PairScore(a, b, value)
@@ -897,7 +936,7 @@ class StreamingColocationDetector:
             if oid != object_id and len(windows[oid]) >= self.min_points
         ]
         pairs = self._freshest_first(pairs, windows)
-        scores = self._score_pairs(pairs, windows, budget, health, threshold)
+        scores = self._score_pairs(pairs, windows, budget, health, threshold, object_id)
         self.last_health = health
         self.last_scores = scores
         return scores

@@ -4,9 +4,12 @@ The ownership protocol says the parent owns the segment and unlinks it
 exactly once, no matter how the run ends: clean exit, a worker taken by
 SIGKILL, a hang that forces the supervisor to kill the pool, or a
 degradation off the process rung entirely.  These tests assert the
-protocol's observable consequence — ``/dev/shm`` holds no new ``psm_*``
-segment after the run — and that Python's ``resource_tracker`` agrees
-(no "leaked shared_memory" warning at interpreter shutdown).
+protocol's observable consequence — every segment the run's arenas
+created is gone from ``/dev/shm`` afterwards — and that Python's
+``resource_tracker`` agrees (no "leaked shared_memory" warning at
+interpreter shutdown).  They follow the segments their own arenas
+create, by name, so segments other processes on the host create and
+remove meanwhile do not matter.
 """
 
 from __future__ import annotations
@@ -33,9 +36,40 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _segments() -> set[str]:
-    """The Python shared-memory segments currently in /dev/shm."""
-    return {p.name for p in SHM_DIR.iterdir() if p.name.startswith("psm_")}
+class PackSpy:
+    """The segment of every arena :meth:`SharedTrajectoryArena.pack` creates.
+
+    ``attempts`` counts the calls; with ``error`` set, a call raises it
+    instead of packing (a platform without ``/dev/shm``).
+    """
+
+    def __init__(self):
+        self.attempts = 0
+        self.names: list[str] = []
+        self.error: Exception | None = None
+
+    def assert_unlinked(self) -> None:
+        """At least one arena was packed, and every one's segment is gone."""
+        assert self.names, "no arena was packed"
+        left = [name for name in self.names if (SHM_DIR / name).exists()]
+        assert not left, left
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    spy = PackSpy()
+    real = SharedTrajectoryArena.pack.__func__
+
+    def pack(cls, *args, **kwargs):
+        spy.attempts += 1
+        if spy.error is not None:
+            raise spy.error
+        arena = real(cls, *args, **kwargs)
+        spy.names.append(arena.handle.shm_name)
+        return arena
+
+    monkeypatch.setattr(SharedTrajectoryArena, "pack", classmethod(pack))
+    return spy
 
 
 class ProcessAllergicMeasure:
@@ -62,17 +96,15 @@ class ProcessAllergicMeasure:
 
 
 class TestNoLeakedSegments:
-    def test_normal_run_leaves_no_segment(self, grid, gallery, clean_serial):
-        before = _segments()
+    def test_normal_run_leaves_no_segment(self, grid, gallery, clean_serial, packed):
         wrapper = ParallelSTS(STS(grid), n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert _segments() <= before
+        packed.assert_unlinked()
 
     def test_sigkilled_worker_leaves_no_segment(
-        self, grid, gallery, clean_serial, tmp_path
+        self, grid, gallery, clean_serial, tmp_path, packed
     ):
-        before = _segments()
         faulty = FaultyMeasure(
             STS(grid), "crash", ("a", "c"), tmp_path / "crash.token"
         )
@@ -80,12 +112,11 @@ class TestNoLeakedSegments:
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.worker_crashes >= 1
-        assert _segments() <= before
+        packed.assert_unlinked()
 
     def test_hung_worker_killed_pool_leaves_no_segment(
-        self, grid, gallery, clean_serial, tmp_path
+        self, grid, gallery, clean_serial, tmp_path, packed
     ):
-        before = _segments()
         faulty = FaultyMeasure(
             STS(grid), "hang", ("a", "c"), tmp_path / "hang.token",
             hang_seconds=60.0,
@@ -94,10 +125,9 @@ class TestNoLeakedSegments:
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.timeouts >= 1
-        assert _segments() <= before
+        packed.assert_unlinked()
 
-    def test_degradation_leaves_no_segment(self, grid, gallery, clean_serial):
-        before = _segments()
+    def test_degradation_leaves_no_segment(self, grid, gallery, clean_serial, packed):
         wrapper = ParallelSTS(ProcessAllergicMeasure(STS(grid)), n_jobs=2)
         with pytest.warns(
             RuntimeWarning, match="from process workers to in-process scoring"
@@ -107,10 +137,10 @@ class TestNoLeakedSegments:
         health = wrapper.last_health
         assert health.degradations == ["process->serial"]
         assert health.backends_used == ["process", "serial"]
-        assert _segments() <= before
+        packed.assert_unlinked()
 
     def test_workers_that_cannot_start_score_in_process(
-        self, grid, gallery, clean_serial, monkeypatch
+        self, grid, gallery, clean_serial, monkeypatch, packed
     ):
         # The pool forks its workers on the first submit.  A fork that
         # fails (EAGAIN: out of process ids) is a pool that cannot start:
@@ -124,7 +154,6 @@ class TestNoLeakedSegments:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
-        before = _segments()
         registry = MetricsRegistry()
         wrapper = ParallelSTS(STS(grid), n_jobs=2, registry=registry)
         with warnings.catch_warnings(record=True) as caught:
@@ -143,21 +172,15 @@ class TestNoLeakedSegments:
         assert "Errno 11" in str(runtime[0].message)
         fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) == 1
-        assert _segments() <= before
+        packed.assert_unlinked()
 
-    def test_pack_failure_leaves_no_segment(
-        self, grid, gallery, clean_serial, monkeypatch
-    ):
+    def test_pack_failure_leaves_no_segment(self, grid, gallery, clean_serial, packed):
         # A platform without /dev/shm cannot pack the arena: the process
         # pool cannot start, and the run scores in-process, announced
         # exactly once.
         from repro.obs.registry import MetricsRegistry
 
-        def no_shm(*args, **kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
-        before = _segments()
+        packed.error = OSError("no /dev/shm")
         registry = MetricsRegistry()
         wrapper = ParallelSTS(STS(grid), n_jobs=2, registry=registry)
         with warnings.catch_warnings(record=True) as caught:
@@ -170,25 +193,21 @@ class TestNoLeakedSegments:
         assert "from process workers to in-process scoring" in str(runtime[0].message)
         fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) == 1
-        assert _segments() <= before
+        assert packed.attempts >= 1 and packed.names == []
 
     def test_cluster_pack_failure_ships_the_gallery_and_leaves_no_segment(
-        self, grid, gallery, monkeypatch
+        self, grid, gallery, packed
     ):
         # Without /dev/shm each shard's replicas get their gallery slice
         # itself and score it exactly as the arena's views.
-        def no_shm(*args, **kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
-        before = _segments()
+        packed.error = OSError("no /dev/shm")
         query = gallery[1]
         expected = STS(grid).similarity_block([query], gallery)[0]
         with ClusterService(STS(grid), gallery, n_shards=2, n_replicas=1) as svc:
             scores, report = svc.query_scores(query)
         assert report.ok and report.coverage == 1.0
         assert np.array_equal([scores[i] for i in range(len(gallery))], expected)
-        assert _segments() <= before
+        assert packed.attempts >= 1 and packed.names == []
 
 
 class TestResourceTrackerSilence:

@@ -3,10 +3,11 @@
 import math
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import STS, stprob
@@ -271,6 +272,22 @@ class TestDisjointReaches:
                 assert probs.tolist() == [1.0]
         assert fft._fft_geometry().windows == [None]  # the frames do not meet
 
+    def test_falls_back_when_only_a_longer_gap_makes_the_frames_meet(self):
+        # The same first segment, then a 280 s halt: the frames are
+        # dilated by the long gap's kernel half and meet, but the first
+        # segment's own reaches (the halves of its dt1 and dt2) do not.
+        grid = Grid(0, 0, 500, 200, cell_size=5.0)
+        traj = Trajectory.from_arrays([50.0, 350.0, 350.0], [100.0] * 3, [0.0, 20.0, 300.0])
+        model = SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3))
+        fft = make_stp(traj, grid, noise=GaussianNoiseModel(5.0), transition=model)
+        summed = make_stp(traj, grid, noise=GaussianNoiseModel(5.0), transition=Summed(model))
+        assert fft._fft_geometry().windows[0] is not None
+        for t in (5.0, 10.0, 15.0):
+            cell = fft._fallback(t, 0)[0].tolist()
+            for cells, probs in (fft.stp(t), summed.stp(t)):
+                assert cells.tolist() == cell
+                assert probs.tolist() == [1.0]
+
 
 class TestCacheStats:
     def test_counts_grow_with_queries_and_reset_on_clear(self, grid, walker):
@@ -347,18 +364,58 @@ class TestFFTChunks:
         few, many = scratch(10), scratch(200)
         assert many < 1.25 * few, (few, many)
 
+    def test_shared_gap_table_is_bounded(self):
+        """Times on a clock repeat their gaps; the gap table stays bounded."""
+        grid = Grid(0, 0, 120, 120, cell_size=3.0)
+        k = np.arange(11)
+        walker = Trajectory.from_arrays(30 + 6.0 * k, 60 + 3 * np.sin(k), 20.0 * k)
+        stp = TrajectorySTP(
+            walker, grid, GaussianNoiseModel(3.0),
+            SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)), cache_size=0,
+        )
+        stp.stp_batch([10.0])  # plan caches and lazy geometry outside the measurement
+        # A 1/16 s clock: 319 distinct gaps, more than the table holds.
+        lattice = np.setdiff1d(np.arange(1, 3200) / 16.0, walker.timestamps)
+        shares = []  # per gap table: (gaps it holds, gaps it does not)
+        real = stp._gap_table
 
-def reference_fft_chunk(stp, los, ts):
+        def spy(*args):
+            table = real(*args)
+            shares.append((int((table.rows >= 0).sum()), int((table.rows < 0).sum())))
+            return table
+
+        stp._gap_table = spy
+
+        def scratch(n_times):
+            times = lattice[np.linspace(0, lattice.size - 1, n_times).astype(int)]
+            tracemalloc.start()
+            try:
+                out = stp.stp_batch(times)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del out
+            return peak - current  # what the call held beyond its results
+
+        few, many = scratch(10), scratch(2000)
+        assert many <= few + 1.25 * stprob.FFT_CHUNK_BYTES, (few, many)
+        (share,) = shares  # the 10 times fit one chunk and need no table
+        assert min(share) > 0, share
+
+
+def reference_fft_chunk(stp, los, ts, *_gaps):
     """Eq. 4 for one FFT chunk, one kernel and one query at a time.
 
     The per-query loop that ``TrajectorySTP._fft_chunk`` batches, kept as
-    its reference, on the estimator's frame geometry.  Each kernel is
-    evaluated at its own ``dt``: on its canvas's unique lattice distances
-    when there are more than 64 of them, else on the whole canvas.  Each
-    is embedded with its own slice assignment and convolved with its own
-    plane in its own round trip.  Each query's product is taken on the
-    intersection of its two frames, rebuilt here from the noise supports,
-    and normalized in its own pass.
+    its reference, on the estimator's frame geometry; the chunk's gap
+    table (``_gaps``) is not read.  Each kernel is evaluated at its own
+    ``dt``: on its canvas's unique lattice distances when there are more
+    than 64 of them, else on the whole canvas.  Each is embedded with its
+    own slice assignment and convolved with its own plane in its own
+    round trip.  A query whose two supports, each dilated by its own
+    kernel's canvas half, are disjoint falls back.  Otherwise its product
+    is taken on the intersection of its two frames, rebuilt here from the
+    noise supports, and normalized in its own pass.
     """
     stamps = stp.trajectory.timestamps
     grid, model = stp.grid, stp.transition_model
@@ -368,6 +425,7 @@ def reference_fft_chunk(stp, los, ts):
     series = stp._span_buckets()
 
     def kernel_canvas(dt):
+        """The kernel of ``dt`` on the fixed canvas, and its own canvas halves."""
         span = int(np.ceil(model.reachable_radius(dt) / grid.cell_size)) + 1
         bucket = int(series[min(np.searchsorted(series, span), series.size - 1)])
         h_r, h_c = min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
@@ -381,26 +439,29 @@ def reference_fft_chunk(stp, los, ts):
         canvas = np.zeros(2 * halves + 1)
         canvas[geom.half_r - h_r : geom.half_r + h_r + 1,
                geom.half_c - h_c : geom.half_c + h_c + 1] = kernel
-        return canvas
+        return canvas, np.array([h_r, h_c])
 
     def convolve(obs, dt):
-        """Observation ``obs``'s convolution, its frame and its origin."""
+        """Observation ``obs``'s convolution, its reach, its frame and its origin."""
         cells, probs = stp._observed[obs]
         at = np.column_stack([cells // grid.n_cols, cells % grid.n_cols])
-        frame = (np.maximum(0, at.min(axis=0) - halves),
-                 np.minimum(dims, at.max(axis=0) + 1 + halves))
+        s0, s1 = at.min(axis=0), at.max(axis=0) + 1
+        frame = (np.maximum(0, s0 - halves), np.minimum(dims, s1 + halves))
         plane = np.zeros(geom.shape)
         plane[tuple((at - geom.origins[obs]).T)] = probs
-        spectrum = stprob._fft.rfft2(kernel_canvas(dt), s=geom.shape)
+        canvas, own = kernel_canvas(dt)
+        spectrum = stprob._fft.rfft2(canvas, s=geom.shape)
         spectrum *= stprob._fft.rfft2(plane)
-        return stprob._fft.irfft2(spectrum, s=geom.shape), frame, geom.origins[obs]
+        conv = stprob._fft.irfft2(spectrum, s=geom.shape)
+        return conv, (s0 - own, s1 + own), frame, geom.origins[obs]
 
     results = []
     for lo, t in zip(los.tolist(), ts.tolist()):
-        fwd, (f0, f1), f_origin = convolve(lo, t - stamps[lo])
-        bwd, (b0, b1), b_origin = convolve(lo + 1, stamps[lo + 1] - t)
+        fwd, (fr0, fr1), (f0, f1), f_origin = convolve(lo, t - stamps[lo])
+        bwd, (br0, br1), (b0, b1), b_origin = convolve(lo + 1, stamps[lo + 1] - t)
         w0, w1 = np.maximum(f0, b0), np.minimum(f1, b1)
-        if (w0 >= w1).any():  # the two reaches miss each other
+        reached = (np.maximum(fr0, br0) < np.minimum(fr1, br1)).all()
+        if not reached or (w0 >= w1).any():  # the two reaches miss each other
             results.append(stp._fallback(t, lo))
             continue
 
@@ -463,13 +524,45 @@ def bridged_cases(draw):
 GRID_20x10 = Grid(0, 0, 40, 20, cell_size=2.0)
 
 
+def _lattice_case():
+    """Reports every 2 s and queries on a 0.25 s clock: every gap repeats."""
+    k = np.arange(8)
+    traj = Trajectory.from_arrays(6.0 + 3.5 * k, 10.0 + 2.0 * np.sin(k), 3.0 + 2.0 * k)
+    model = SpeedTransitionModel(KDESpeedModel.from_trajectory(traj, approx=False))
+    return traj, model, np.arange(3.0, 17.0, 0.25)
+
+
 class TestBatchedChunk:
     """The batched FFT chunk is bitwise the per-query loop."""
 
     @settings(max_examples=80, deadline=None)
-    @given(case=bridged_cases(), split=st.floats(0.0, 1.0))
-    def test_stp_batch_matches_per_query_reference(self, case, split):
+    @given(
+        case=bridged_cases(),
+        split=st.floats(0.0, 1.0),
+        chunk_bytes=st.sampled_from([stprob.FFT_CHUNK_BYTES, 20_000]),
+    )
+    @example(case=_lattice_case(), split=0.4, chunk_bytes=20_000)
+    def test_stp_batch_matches_per_query_reference(self, case, split, chunk_bytes):
+        # 20 kB chunks hold one or two queries, so a call spans many chunks
+        # and, when its gaps repeat, shares them through a gap table.
         traj, model, times = case
+        with mock.patch.object(stprob, "FFT_CHUNK_BYTES", chunk_bytes):
+            self._check_against_reference(traj, model, times, split)
+
+    def test_lattice_case_fills_a_gap_table(self):
+        traj, model, times = _lattice_case()
+        tables = []
+        with mock.patch.object(stprob, "FFT_CHUNK_BYTES", 20_000):
+            stp = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model)
+            real = stp._gap_table
+            stp._gap_table = lambda *args: tables.append(real(*args)) or tables[-1]
+            stp.stp_batch(times)
+        assert 3 * stp._fft_geometry().chunk < len(times)
+        (table,) = tables
+        assert (table.rows >= 0).any() and (table.rows < 0).any()  # shared and own gaps
+
+    @staticmethod
+    def _check_against_reference(traj, model, times, split):
         batched = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model)
         looped = TrajectorySTP(traj, GRID_20x10, GaussianNoiseModel(2.0), model)
         looped._fft_chunk = types.MethodType(reference_fft_chunk, looped)

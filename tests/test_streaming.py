@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.grid import Grid
+from repro.core.sts import STS
 from repro.streaming import PairScore, SightingEvent, StreamingColocationDetector
 
 
@@ -360,6 +361,111 @@ class TestDegenerateWindows:
         assert health.degenerate_pairs == 1
         assert health.pairs_scored == 0
         assert not health.ok
+
+
+class PairByPair:
+    """An STS without ``similarity_block``: the detector scores it pair by pair."""
+
+    name = "STS pair by pair"
+
+    def __init__(self, grid):
+        self.base = STS(grid)
+
+    def similarity(self, tra1, tra2):
+        return self.base.similarity(tra1, tra2)
+
+
+def tick(detector, n_devices=7, seed=4):
+    """Devices in loose pairs, sighted at random instants of a 0.5 s clock."""
+    rng = np.random.default_rng(seed)
+    for d in range(n_devices):
+        start = rng.uniform(10.0, 30.0, 2) + 6.0 * (d // 2)
+        instants = np.sort(rng.choice(240, 12, replace=False)) * 0.5
+        for k in instants:
+            x, y = start + 0.8 * np.array([k, 0.1 * k]) + rng.normal(0.0, 1.0, 2)
+            detector.offer(SightingEvent(f"dev-{d}", float(x), float(y), float(k)))
+    return detector
+
+
+class TestBlockScoring:
+    """Without a deadline, a tick's pairs come from one block, bitwise."""
+
+    def test_evaluate_is_per_pair_similarity_bitwise(self, grid, monkeypatch):
+        detector = tick(StreamingColocationDetector(grid, window=300.0))
+        blocks = []
+        real = STS.similarity_block
+        monkeypatch.setattr(
+            STS, "similarity_block",
+            lambda self, *args: blocks.append(len(args)) or real(self, *args),
+        )
+        scores = detector.evaluate()
+        assert blocks == [1]  # one self block
+        assert len(scores) == 21 == detector.last_health.pairs_scored
+        windows = {oid: detector.window_of(oid) for oid in detector.active_objects}
+        for score in scores:
+            want = STS(grid).similarity(windows[score.object_a], windows[score.object_b])
+            assert score.similarity.hex() == want.hex()
+
+    def test_companions_of_is_per_pair_similarity_bitwise(self, grid):
+        detector = tick(StreamingColocationDetector(grid, window=300.0))
+        scores = detector.companions_of("dev-3")
+        assert len(scores) == 6 == detector.last_health.pairs_scored
+        target = detector.window_of("dev-3")
+        for score in scores:
+            assert score.object_a == "dev-3"
+            want = STS(grid).similarity(target, detector.window_of(score.object_b))
+            assert score.similarity.hex() == want.hex()
+
+    @pytest.mark.parametrize("call", ["evaluate", "companions_of"])
+    def test_health_is_that_of_pair_by_pair_scoring(self, grid, call):
+        from repro.serving import CircuitBreaker
+
+        runs = {}
+        for factory in (None, lambda: PairByPair(grid)):
+            breaker = CircuitBreaker(threshold=1, cooldown_base=3600.0)
+            breaker.record_timeout(("dev-3", "dev-4"))  # open: skipped, counted
+            detector = tick(
+                StreamingColocationDetector(
+                    grid, window=300.0, breaker=breaker, measure_factory=factory
+                )
+            )
+            detector.ingest(SightingEvent("thin", 50.0, 20.0, 100.0))
+            scores = detector.evaluate() if call == "evaluate" else detector.companions_of("dev-3")
+            health = detector.last_health.to_dict()
+            health.pop("elapsed_ms")
+            health.pop("metrics")  # the two paths count different calls
+            runs[factory is None] = (scores, health)
+        (block, block_health), (pairwise, pairwise_health) = runs[True], runs[False]
+        assert block_health == pairwise_health
+        assert block_health["breaker_skips"] == 1
+        assert block_health["degenerate_objects"] == 1
+        assert [(s.object_a, s.object_b) for s in block] == [
+            (s.object_a, s.object_b) for s in pairwise
+        ]
+        assert [s.similarity.hex() for s in block] == [s.similarity.hex() for s in pairwise]
+
+    def test_a_block_that_raises_is_scored_pair_by_pair(self, grid):
+        from repro.errors import DegenerateTrajectoryError
+
+        class SelfBlockRefused(STS):
+            def similarity_block(self, rows, cols=None):
+                if cols is None:
+                    raise DegenerateTrajectoryError("injected: self block refused")
+                return super().similarity_block(rows, cols)
+
+        plain = tick(StreamingColocationDetector(grid, window=300.0), n_devices=4)
+        refused = tick(
+            StreamingColocationDetector(
+                grid, window=300.0, measure_factory=lambda: SelfBlockRefused(grid)
+            ),
+            n_devices=4,
+        )
+        want, got = plain.evaluate(), refused.evaluate()
+        assert refused.last_health.pairs_scored == 6
+        assert refused.last_health.degenerate_pairs == 0
+        assert [(s.object_a, s.object_b, s.similarity.hex()) for s in got] == [
+            (s.object_a, s.object_b, s.similarity.hex()) for s in want
+        ]
 
 
 class TestDeadlineEvaluation:
