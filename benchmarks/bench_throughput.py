@@ -10,9 +10,9 @@ per-timestamp baseline path against the batched serial path and the
 parallel path (``parallel_n{k}``, corpus in the shared-memory arena) at
 several worker counts — writing mean/p50/p95 wall-clock per
 configuration, the resulting speedups, and the measured per-pair
-dispatch payload of the arena against pickling the corpus into every
-worker (``dispatch_payload``) to ``BENCH_throughput.json`` at the
-repository root.  ``--assert-shm-beats-pickling`` turns the arena's
+dispatch payload of the arenas against pickling the corpus into the
+workers and their requests (``dispatch_payload``) to
+``BENCH_throughput.json`` at the repository root.  ``--assert-shm-beats-pickling`` turns the arena's
 value proposition into a hard exit code: it must ship >= 10x fewer
 serialized bytes per dispatched pair.
 """
@@ -168,43 +168,66 @@ def run_gallery_benchmark(gallery_size: int, repeats: int, n_jobs_list: list[int
 def measure_dispatch_payload(gallery_size: int, n_workers: int = 2) -> dict:
     """Serialized bytes per dispatched pair, pickling vs shared-memory.
 
-    Counts what crosses the process boundary for one pairwise run: the
-    pool-initializer payload per worker (measure + arena handle on the
-    shm path; measure + collections had the corpus been pickled into
-    every worker instead, which this function does itself to size it)
-    plus the per-chunk index lists, which both ship identically.  The
-    corpus bytes move to the shared segment, not to zero — that
-    one-time cost is reported as ``arena_bytes``.
+    Counts what crosses the process boundary for one self-matrix on the
+    transient service of ``n_workers`` shards behind
+    ``STS.pairwise(n_jobs=n_workers)``: each worker's start payload (the
+    measure and its shard arena's handle, against the measure and the
+    shard's trajectories had they been pickled instead) plus each shard's
+    one request (the call's row-arena handle and block indices, against
+    the rows its blocks read, pickled into the request).  The corpus
+    bytes move to the shared segments, not to zero — that one-time cost
+    is reported as ``arena_bytes``.
     """
     import pickle
 
+    from repro.cluster.plan import ShardPlan, gallery_keys
     from repro.core import STS
     from repro.datasets import taxi_dataset
-    from repro.parallel import SharedTrajectoryArena, chunk_pairs
+    from repro.parallel import SharedTrajectoryArena
+    from repro.parallel.sts import _shard_plan
 
     ds = taxi_dataset(n_trajectories=gallery_size, seed=101, time_window=600.0)
     gallery = ds.trajectories
     measure = STS(ds.make_grid(), cache_size=None)
     n = len(gallery)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    chunks = chunk_pairs(pairs, n_workers, 4)
-    chunk_bytes = sum(len(pickle.dumps(chunk)) for chunk in chunks)
+    members = ShardPlan(n_workers, 1).assign(gallery_keys(gallery))
+    requests: dict = {}
+    for shard, rows, cols in _shard_plan(members, n, symmetric=True):
+        requests.setdefault(shard, []).append((rows, cols))
 
-    pickling_init = len(pickle.dumps((measure, gallery, None)))
+    def request_bytes(rows, blocks) -> int:
+        return len(pickle.dumps(("score", 0, rows, blocks, None)))
+
+    start = {"pickling": 0, "shm": 0}
+    request = {"pickling": 0, "shm": 0}
     with SharedTrajectoryArena.pack(gallery) as arena:
-        shm_init = len(pickle.dumps((measure, arena.handle)))
         arena_bytes = arena.nbytes
-    pickling_total = pickling_init * n_workers + chunk_bytes
-    shm_total = shm_init * n_workers + chunk_bytes
+        for shard, blocks in requests.items():
+            shard_gallery = [gallery[g] for g in members[shard]]
+            start["pickling"] += len(pickle.dumps((measure, shard_gallery)))
+            with SharedTrajectoryArena.pack(shard_gallery) as shard_arena:
+                start["shm"] += len(pickle.dumps((measure, shard_arena.handle)))
+                arena_bytes += shard_arena.nbytes
+            request["shm"] += request_bytes(arena.handle, blocks)
+            read = sorted({i for rows, _ in blocks if rows is not None for i in rows})
+            at = {i: k for k, i in enumerate(read)}
+            request["pickling"] += request_bytes(
+                [gallery[i] for i in read],
+                [(None if rows is None else tuple(at[i] for i in rows), cols) for rows, cols in blocks],
+            )
+    n_pairs = n * (n + 1) // 2
+    pickling_total = start["pickling"] + request["pickling"]
+    shm_total = start["shm"] + request["shm"]
     return {
         "n_workers": n_workers,
-        "n_pairs": len(pairs),
-        "chunk_bytes": chunk_bytes,
-        "pickling_init_bytes_per_worker": pickling_init,
-        "shm_init_bytes_per_worker": shm_init,
+        "n_pairs": n_pairs,
+        "pickling_start_bytes": start["pickling"],
+        "shm_start_bytes": start["shm"],
+        "pickling_request_bytes": request["pickling"],
+        "shm_request_bytes": request["shm"],
         "arena_bytes": arena_bytes,
-        "pickling_bytes_per_pair": pickling_total / len(pairs),
-        "shm_bytes_per_pair": shm_total / len(pairs),
+        "pickling_bytes_per_pair": pickling_total / n_pairs,
+        "shm_bytes_per_pair": shm_total / n_pairs,
         "reduction_x": pickling_total / shm_total,
     }
 

@@ -5,9 +5,11 @@ The cluster layer scales the Eq. 10 matching workload past one process:
 * :class:`~repro.cluster.plan.ShardPlan` — deterministic rendezvous-hash
   placement of trajectory ids onto N shards × R replicas, fingerprinted.
 * :class:`~repro.cluster.service.ClusterService` — the supervised worker
-  group: one shared-memory arena per shard, R replica processes each,
-  heartbeats, automatic restart + re-attach, per-replica circuit
-  breakers, hedged requests, and explicit partial-result coverage.
+  group, and the library's one process engine: one shared-memory arena
+  per shard, R replica processes each, block requests, heartbeats,
+  automatic restart + re-attach, per-replica circuit breakers, hedged
+  requests, and explicit partial-result coverage.  ``STS.pairwise(n_jobs=k)``
+  runs on a transient ``k × 1`` service (see :mod:`repro.parallel`).
 
 Filter-and-refine matching over the cluster is
 ``FilteredMatcher(measure, cluster=service)`` queried against

@@ -7,13 +7,19 @@ own :class:`~repro.parallel.shm.SharedTrajectoryArena`, and every shard
 is hosted by R replica worker processes that attach to the arena and
 answer scoring requests over duplex pipes.
 
-One query is a **scatter-gather**: the surviving candidate indices are
-grouped by owning shard, each shard gets a request against one replica
-(primaries rotate round-robin for load spread) under a per-shard slice
-of the caller's :class:`~repro.serving.Budget`, and the gather loop
-multiplexes the replica pipes with :func:`multiprocessing.connection.
-wait`.  The loop absorbs every failure mode the single-process path
-cannot:
+One call is a **scatter-gather** of block requests: each shard gets one
+request against one replica (primaries rotate round-robin for load
+spread) under a per-shard slice of the caller's
+:class:`~repro.serving.Budget`, and the gather loop multiplexes the
+replica pipes with :func:`multiprocessing.connection.wait`.  A request
+names blocks of rows against the shard's columns, and the replica
+answers each with one Eq. 10 block-kernel call.  A query
+(:meth:`ClusterService.query_scores`) is the one-row case and ships the
+query itself; a matrix (:meth:`ClusterService.pairwise`, and the
+transient services behind ``STS.pairwise(n_jobs=k)``) packs its rows
+into one shared-memory arena that every replica attaches for the call,
+so its requests carry row indices only.  The loop absorbs every failure
+mode the single-process path cannot:
 
 * **replica death** (pipe EOF / SIGKILL mid-query) — the request fails
   over to a sibling replica with capped backoff; the dead worker is
@@ -33,13 +39,14 @@ cannot:
 
 Per-replica :class:`~repro.serving.CircuitBreaker`\\ s keep a flapping
 replica from being retried on every query, and a
-:data:`REQUEST_TIMEOUT_S` backstop converts a *hung* (not dead) shard
-into a skip instead of a hang even on unbudgeted queries.
+:data:`REQUEST_TIMEOUT_S` backstop kills a *hung* (not dead) replica, so
+its request fails over or its shard is skipped instead of hanging even
+an unbudgeted call; the next call restarts it like any dead replica.
 
 When every replica is healthy the gathered scores are bitwise identical
 to the single-process path: workers score the exact float64 arrays the
-parent packed, each request as one ``1 × k`` block of the Eq. 10 block
-kernel, and a kernel entry depends only on its pair.
+parent packed through the Eq. 10 block kernel, and a kernel entry
+depends only on its pair.
 """
 
 from __future__ import annotations
@@ -80,8 +87,8 @@ RESTART_BACKOFF_BASE = 0.05
 RESTART_BACKOFF_MAX = 1.0
 
 #: Backstop per shard attempt: a replica that neither answers nor dies
-#: within this many seconds is treated as failed (hung), so even an
-#: unbudgeted query cannot hang on a wedged shard.
+#: within this many seconds is killed as hung, so even an unbudgeted
+#: call cannot hang on a wedged shard.
 REQUEST_TIMEOUT_S = 30.0
 
 
@@ -224,12 +231,12 @@ class _Replica:
 
 
 class _ShardCall:
-    """Gather-loop state of one shard's portion of a query."""
+    """Gather-loop state of one shard's request: its blocks and their answer."""
 
-    def __init__(self, shard: int, local_cols: list[int], global_cols: list[int]):
+    def __init__(self, shard: int, blocks: list):
         self.shard = shard
-        self.local_cols = local_cols
-        self.global_cols = global_cols
+        self.blocks = blocks  # [(row indices | None, local cols)]
+        self.result: list | None = None  # one matrix per block, once answered
         self.done = False
         self.skipped_reason: str | None = None
         self.tried: set[int] = set()  # replica indices dispatched to
@@ -322,6 +329,10 @@ class ClusterService:
             "repro_cluster_shard_restarts_total",
             "Shard replica workers restarted after death",
         ).child()
+        self._m_calls = reg.counter(
+            "repro_cluster_shard_calls_total",
+            "Shard requests scatter-gathered (answered or skipped)",
+        ).child()
         self._m_skipped = reg.counter(
             "repro_cluster_shard_skipped_total",
             "Shards skipped by a query (partial coverage)",
@@ -370,14 +381,21 @@ class ClusterService:
                 self._arenas[shard] = None  # no shared memory: ship the list itself
 
         # ---- spawn the worker group ----------------------------------
+        # A worker that cannot start (no fork, a measure a spawn platform
+        # cannot pickle) fails the constructor, after stopping the workers
+        # already started and unlinking every arena.
         self._replicas: dict[tuple[int, int], _Replica] = {}
-        for shard in range(self.plan.n_shards):
-            if not self.shard_globals[shard]:
-                continue
-            for r in range(self.plan.n_replicas):
-                handle = _Replica(shard, r)
-                self._replicas[(shard, r)] = handle
-                self._spawn(handle, config=self._worker_faults.get((shard, r)))
+        try:
+            for shard in range(self.plan.n_shards):
+                if not self.shard_globals[shard]:
+                    continue
+                for r in range(self.plan.n_replicas):
+                    handle = _Replica(shard, r)
+                    self._replicas[(shard, r)] = handle
+                    self._spawn(handle, config=self._worker_faults.get((shard, r)))
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -409,8 +427,13 @@ class ClusterService:
             daemon=True,
             name=f"repro-shard{handle.shard}-r{handle.replica}",
         )
-        process.start()
-        child_conn.close()
+        try:
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
         handle.process = process
         handle.conn = parent_conn
         # Wait briefly for the ready handshake so a query issued right
@@ -446,7 +469,13 @@ class ClusterService:
         handle.restarts += 1
         # Restarted incarnations never re-apply the injected fault: the
         # chaos harness kills a worker once, and the replacement is clean.
-        self._spawn(handle, config=None)
+        try:
+            self._spawn(handle, config=None)
+        except OSError as exc:  # e.g. out of process ids
+            report.events.append(
+                f"could not restart shard {handle.shard} replica {handle.replica}: {exc}"
+            )
+            return False
         self.breaker.record_success(handle.key)
         self._m_restarts.inc()
         report.restarts += 1
@@ -490,7 +519,7 @@ class ClusterService:
         self,
         sc: _ShardCall,
         handle: _Replica,
-        query,
+        rows,
         deadline_wall: float | None,
         inflight: dict,
         is_hedge: bool,
@@ -510,7 +539,10 @@ class ClusterService:
                     "shard": sc.shard,
                     "replica": handle.replica,
                     "hedge": is_hedge,
-                    "pairs": len(sc.local_cols),
+                    "pairs": sum(
+                        len(cols) * (len(cols) if r is None else len(r))
+                        for r, cols in sc.blocks
+                    ),
                 },
                 time.perf_counter(),
                 threading.get_ident(),
@@ -518,7 +550,7 @@ class ClusterService:
             parent = current_span()
             if parent is not None:
                 parent.children.append(span)
-        request = ("score", req_id, query, sc.local_cols, deadline_wall)
+        request = ("score", req_id, rows, sc.blocks, deadline_wall)
         if span is not None:
             request += ((self._qtrace["id"], span.span_id),)
         try:
@@ -559,6 +591,45 @@ class ClusterService:
         failover, hedging and skipped shards.  Indices owned by skipped
         shards are absent from ``scores`` — partial results are explicit.
 
+        The one-row case of :meth:`score_blocks`: each shard that owns a
+        requested column gets one ``1 × k`` block, and the request ships
+        the query itself.
+        """
+        cols = range(len(self.gallery)) if cols is None else cols
+        per_shard: dict[int, tuple[list[int], list[int]]] = {}
+        for c in cols:
+            shard, local = self._global_to_local[int(c)]
+            locals_, globals_ = per_shard.setdefault(shard, ([], []))
+            locals_.append(local)
+            globals_.append(int(c))
+        blocks = {shard: [((0,), locals_)] for shard, (locals_, _) in per_shard.items()}
+        results, report = self.score_blocks([query], blocks, budget)
+        scores = {
+            g: float(value)
+            for shard, (block,) in results.items()
+            for g, value in zip(per_shard[shard][1], block[0])
+        }
+        return scores, report
+
+    def score_blocks(
+        self,
+        rows,
+        blocks: dict[int, list],
+        budget: Budget | None = None,
+    ) -> tuple[dict[int, list], ClusterReport]:
+        """One scatter-gather of block requests: ``(answers, report)``.
+
+        ``blocks`` maps a shard to the blocks of its one request, each
+        ``(row_indices, local_cols)``: the rows at those indices of
+        ``rows`` against the shard's columns at positions ``local_cols``
+        of :attr:`shard_globals`, or ``(None, local_cols)`` for the self
+        block of those columns.  ``rows`` is an
+        :class:`~repro.parallel.shm.ArenaHandle` that every replica
+        attaches for the call, or the row trajectories themselves, shipped
+        in every request.  ``answers`` maps each shard that answered to
+        one matrix per block; a skipped shard is absent, and named in the
+        report.  Shards not in ``blocks`` count as covered.
+
         When observability is on the whole scatter-gather runs under a
         ``cluster.query`` span; each dispatch gets a child span, every
         replica's scoring subtree is stitched under its dispatch on
@@ -572,7 +643,8 @@ class ClusterService:
         with trace_span("cluster.query", gallery=len(self.gallery)) as root:
             self._qtrace = {"id": trace_id, "spans": {}} if trace_id else None
             try:
-                scores, report = self._query_scores_inner(query, cols, budget)
+                calls = {shard: _ShardCall(shard, list(b)) for shard, b in blocks.items()}
+                report = self._scatter_gather(rows, calls, budget)
             finally:
                 if self._qtrace is not None:
                     # Dispatches that never got a reply stay open until
@@ -588,43 +660,26 @@ class ClusterService:
             root.attrs["shards"] = report.shards_total
             root.attrs["coverage"] = round(report.coverage, 4)
             report.trace = spans_to_chrome([root], trace_id=trace_id)
-        return scores, report
+        return {shard: sc.result for shard, sc in calls.items() if sc.done}, report
 
-    def _query_scores_inner(
-        self,
-        query,
-        cols: Sequence[int] | None,
-        budget: Budget | None,
-    ) -> tuple[dict[int, float], ClusterReport]:
-        cols = list(range(len(self.gallery))) if cols is None else [int(c) for c in cols]
-        report = ClusterReport(
-            gallery_size=len(self.gallery), shards_total=0
-        )
+    def _scatter_gather(
+        self, rows, per_shard: dict[int, _ShardCall], budget: Budget | None
+    ) -> ClusterReport:
+        report = ClusterReport(gallery_size=len(self.gallery))
         t0 = time.monotonic()
-
-        # Group requested columns by owning shard.
-        per_shard: dict[int, _ShardCall] = {}
-        for c in cols:
-            shard, local = self._global_to_local[c]
-            sc = per_shard.get(shard)
-            if sc is None:
-                sc = per_shard[shard] = _ShardCall(shard, [], [])
-            sc.local_cols.append(local)
-            sc.global_cols.append(c)
-        # Shards with no requested columns still count as covered: their
+        # Shards with nothing requested still count as covered: their
         # members were consulted (filtered out upstream), not skipped.
-        consulted = set(per_shard)
         report.shards_total = len(per_shard)
         report.covered_size = sum(
             len(members)
             for shard, members in enumerate(self.shard_globals)
-            if members and shard not in consulted
+            if members and shard not in per_shard
         )
+        self._m_calls.inc(len(per_shard))
 
         self._drain_stale(report)
-        scores: dict[int, float] = {}
         if per_shard:
-            self._gather(query, per_shard, budget, scores, report)
+            self._gather(rows, per_shard, budget, report)
         for shard, sc in per_shard.items():
             self._rr[shard] = (self._rr.get(shard, 0) + 1) % max(1, self.plan.n_replicas)
             if sc.done:
@@ -642,14 +697,13 @@ class ClusterService:
         report.shards_degraded = tuple(sorted(report.shards_degraded))
         report.elapsed_ms = (time.monotonic() - t0) * 1000.0
         self._h_coverage.observe(report.coverage)
-        return scores, report
+        return report
 
     def _gather(
         self,
-        query,
+        rows,
         per_shard: dict[int, _ShardCall],
         budget: Budget | None,
-        scores: dict[int, float],
         report: ClusterReport,
     ) -> None:
         bounded = budget is not None and budget.bounded
@@ -669,7 +723,7 @@ class ClusterService:
         # of the remaining budget (the slices run concurrently, so each
         # shard may use the full remaining window).
         for sc in per_shard.values():
-            self._scatter_one(sc, query, deadline_wall(), inflight, report)
+            self._scatter_one(sc, rows, deadline_wall(), inflight, report)
 
         hedge_delay = self._latency.hedge_delay_s()
         while any(not sc.done and sc.skipped_reason is None for sc in per_shard.values()):
@@ -686,7 +740,7 @@ class ClusterService:
             # fail over to the next one (or give up on the shard).
             for sc in pending:
                 if not sc.inflight:
-                    self._failover(sc, query, deadline_wall(), inflight, report)
+                    self._failover(sc, rows, deadline_wall(), inflight, report)
             pending = [
                 sc for sc in per_shard.values()
                 if not sc.done and sc.skipped_reason is None
@@ -708,14 +762,14 @@ class ClusterService:
             }
             ready = conn_wait(list(conns), timeout=timeout) if conns else []
             for conn in ready:
-                self._pump(conns[conn], inflight, scores, report)
+                self._pump(conns[conn], inflight, report)
 
             now = time.monotonic()
             for sc in pending:
                 if sc.done or sc.skipped_reason is not None:
                     continue
                 # Hung-request backstop: no reply and no death for the
-                # whole window — treat the replica as failed.
+                # whole window — kill the replica as hung.
                 timed_out = [
                     req_id
                     for req_id, (_r, sent_at) in sc.inflight.items()
@@ -724,13 +778,16 @@ class ClusterService:
                 for req_id in timed_out:
                     replica, _ = sc.inflight.pop(req_id)
                     inflight.pop(req_id, None)
-                    self.breaker.record_timeout((sc.shard, replica))
+                    handle = self._replicas[(sc.shard, replica)]
+                    if handle.alive():
+                        handle.process.kill()
+                    self._mark_dead(handle)
                     report.events.append(
                         f"shard {sc.shard} replica {replica} timed out "
-                        f"after {REQUEST_TIMEOUT_S}s"
+                        f"after {REQUEST_TIMEOUT_S}s and was killed"
                     )
                 if timed_out and not sc.inflight:
-                    self._failover(sc, query, deadline_wall(), inflight, report)
+                    self._failover(sc, rows, deadline_wall(), inflight, report)
                     continue
                 # Hedge: primary outstanding past the hedge delay.
                 if (
@@ -742,7 +799,7 @@ class ClusterService:
                 ):
                     handle = self._pick_replica(sc, report)
                     if handle is not None and self._dispatch(
-                        sc, handle, query, deadline_wall(), inflight, True
+                        sc, handle, rows, deadline_wall(), inflight, True
                     ):
                         report.hedges_fired += 1
                         self._m_hedge_fired.inc()
@@ -751,20 +808,20 @@ class ClusterService:
                             f"after {hedge_delay * 1000.0:.1f} ms"
                         )
 
-    def _scatter_one(self, sc, query, deadline_wall, inflight, report) -> None:
+    def _scatter_one(self, sc, rows, deadline_wall, inflight, report) -> None:
         """Dispatch a shard call to its first viable replica (or skip)."""
         while sc.skipped_reason is None and not sc.inflight:
             handle = self._pick_replica(sc, report)
             if handle is None:
                 sc.skipped_reason = "no live replica (restart budget exhausted)"
                 return
-            if self._dispatch(sc, handle, query, deadline_wall, inflight, False):
+            if self._dispatch(sc, handle, rows, deadline_wall, inflight, False):
                 return
 
-    def _failover(self, sc, query, deadline_wall, inflight, report) -> None:
+    def _failover(self, sc, rows, deadline_wall, inflight, report) -> None:
         """Re-dispatch a shard call after its in-flight replica failed."""
         had = bool(sc.tried)
-        self._scatter_one(sc, query, deadline_wall, inflight, report)
+        self._scatter_one(sc, rows, deadline_wall, inflight, report)
         if sc.inflight and had:
             report.failovers += 1
             self._m_failovers.inc()
@@ -817,7 +874,7 @@ class ClusterService:
             if child is not None:
                 span.children.append(child)
 
-    def _pump(self, handle: _Replica, inflight, scores, report) -> None:
+    def _pump(self, handle: _Replica, inflight, report) -> None:
         """Drain every message currently readable on one replica pipe."""
         while True:
             try:
@@ -855,8 +912,7 @@ class ClusterService:
                     self._h_shard.observe(elapsed)
                 if replica is not None:
                     self.breaker.record_success((sc.shard, replica))
-                for global_idx, value in zip(sc.global_cols, msg[2]):
-                    scores[global_idx] = float(value)
+                sc.result = msg[2]
                 # Hedging is routine tail-tolerance, not degradation —
                 # it adjusts hedges accounting but never marks the shard.
                 if sc.hedge_fired:
@@ -971,25 +1027,43 @@ class ClusterService:
         return True
 
     # ------------------------------------------------------------------
-    def pairwise(self, queries: Sequence, budget: Budget | None = None):
-        """Score matrix ``S[i, j] = measure(queries[i], gallery[j])``.
+    def pairwise(self, queries: Sequence | None = None, budget: Budget | None = None):
+        """Score matrix ``S[i, j] = measure(queries[i], gallery[j])``: ``(S, report)``.
 
-        The cluster route behind ``STS.pairwise(cluster=...)``: each row
-        is one scatter-gathered query.  Entries owned by a skipped shard
-        come back NaN (the same partial-result convention as
-        deadline-shed chunks in :mod:`repro.parallel`), and the per-row
-        :class:`ClusterReport`\\ s are returned alongside the matrix.
+        The cluster route behind ``STS.pairwise(cluster=...)``.  The rows
+        (``queries``, or the gallery itself) are packed once into one
+        shared-memory arena, each shard gets one block of every row
+        against its columns, and one gather collects them.  Entries owned
+        by a skipped shard come back NaN, the same partial-result
+        convention as a deadline in :mod:`repro.parallel`; the
+        :class:`ClusterReport` says which.
         """
         import numpy as np
 
-        out = np.full((len(queries), len(self.gallery)), np.nan)
-        reports = []
-        for i, row in enumerate(queries):
-            scores, report = self.query_scores(row, budget=budget)
-            for j, value in scores.items():
-                out[i, j] = value
-            reports.append(report)
-        return out, reports
+        from ..parallel.shm import SharedTrajectoryArena
+
+        rows = self.gallery if queries is None else list(queries)
+        out = np.full((len(rows), len(self.gallery)), np.nan)
+        every_row = tuple(range(len(rows)))
+        blocks = {
+            shard: [(every_row, list(range(len(members))))]
+            for shard, members in enumerate(self.shard_globals)
+            if members and rows
+        }
+        try:
+            arena = SharedTrajectoryArena.pack(rows, registry=self._registry)
+        except OSError:
+            arena = None  # no shared memory: every request ships the rows
+        try:
+            results, report = self.score_blocks(
+                arena.handle if arena is not None else rows, blocks, budget
+            )
+        finally:
+            if arena is not None:
+                arena.close()
+        for shard, (block,) in results.items():
+            out[:, self.shard_globals[shard]] = block
+        return out, report
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -3,10 +3,11 @@
 Each worker hosts one *replica* of one *shard*: it attaches (read-only)
 to the shard's :class:`~repro.parallel.shm.SharedTrajectoryArena`,
 rebuilds zero-copy trajectory views, and answers scoring requests over a
-duplex :func:`multiprocessing.Pipe`.  A request's columns are scored as
-one ``1 × k`` block of the Eq. 10 block kernel
+duplex :func:`multiprocessing.Pipe`.  A request names blocks of some
+rows against some of the shard's columns; each block is scored in one
+call of the Eq. 10 block kernel
 (:func:`~repro.similarity.base.similarity_block`), the same call the
-single-process refine makes.  The packed arrays hold the exact float64
+single-process path makes.  The packed arrays hold the exact float64
 values of the parent's trajectories and a kernel entry depends only on
 its pair, so every score is bitwise identical to the single-process
 path — which is what lets the service treat replicas as interchangeable
@@ -14,10 +15,17 @@ and hedge requests freely.
 
 Protocol (parent → worker / worker → parent), all tuples:
 
-* ``("score", req_id, query, local_cols, deadline_wall[, trace_ctx])`` →
-  ``("score", req_id, [scores], telemetry)`` — or ``("expired",
+* ``("score", req_id, rows, blocks, deadline_wall[, trace_ctx])`` →
+  ``("score", req_id, [matrices], telemetry)`` — or ``("expired",
   req_id)`` when the wall-clock deadline passed before scoring started,
-  or ``("error", req_id, message)`` when scoring raised.  ``trace_ctx``
+  or ``("error", req_id, message)`` when scoring raised.  ``rows`` is
+  the call's row arena (an :class:`~repro.parallel.shm.ArenaHandle`,
+  attached once and kept until a request names another) or the row
+  trajectories themselves (a single query, or rows that found no shared
+  memory).  Each block is ``(row_indices, local_cols)``: the rows at
+  those indices of ``rows`` against the shard's columns ``local_cols``,
+  or ``(None, local_cols)`` for the self block of those columns.  The
+  reply holds one ``rows × cols`` matrix per block.  ``trace_ctx``
   is the propagated ``(trace_id, parent_span_id)`` pair; ``telemetry``
   is ``{"pid", "delta", "trace"}`` — the worker's registry delta since
   its last flush plus its span subtree for this request, which the
@@ -38,10 +46,10 @@ Protocol (parent → worker / worker → parent), all tuples:
 * ``("stop",)`` — clean shutdown (EOF on the pipe does the same).
 
 The first thing a worker does is :func:`~repro.parallel.pool.
-mark_cluster_worker`: any code inside the worker that sizes a pool
-through :func:`~repro.parallel.pool.resolve_n_jobs` is clamped to
+mark_cluster_worker`: any code inside the worker that sizes a worker
+group through :func:`~repro.parallel.pool.resolve_n_jobs` is clamped to
 ``n_jobs=1``.  Without the clamp, an N×R cluster whose workers each
-open a per-CPU pool would fork N·R·cpus processes.
+start a per-CPU group would fork N·R·cpus processes.
 Workers are also spawned as daemons, so ``multiprocessing`` itself
 refuses grandchildren as a second line of defense.
 
@@ -49,8 +57,8 @@ Worker output is structured: one JSON object per line (UTC timestamp,
 pid, level, shard/replica ids — see :mod:`repro.obs.logs`), written to
 stderr, never into the stdout that carries the parent's results, or,
 when ``config["log_path"]`` is set (the ``REPRO_CLUSTER_LOG_DIR``
-redirect), to the per-replica log file.
-``repro obs logs <dir>`` merges and pretty-prints a directory of them.
+redirect), to the per-replica log file; the start-up ``ready`` record
+goes to that file only.  ``repro obs logs <dir>`` merges and pretty-prints a directory of them.
 
 Test hooks (the chaos harness's fault injection) ride in the ``config``
 dict: ``delay_s`` sleeps before answering each score request (a slow
@@ -154,20 +162,46 @@ def worker_main(
             merged = merge_snapshots(merged, snap) if merged else snap
         return merged
 
+    from ..parallel.shm import ArenaHandle, SharedTrajectoryArena
+
     view = None
     if arena_handle is not None:
-        from ..parallel.shm import SharedTrajectoryArena
-
         view = SharedTrajectoryArena.attach(arena_handle)
         gallery = view.gallery
     else:
         gallery = list(fallback_gallery or [])
 
-    def score(query, local_cols):
-        """One ``1 × k`` kernel block: the query against its columns."""
-        return similarity_block(measure, [query], [gallery[c] for c in local_cols])[0]
+    # The row arena of the current call: attached on the first request
+    # that names it, dropped when a request names another.
+    row_view = None
 
-    log.info("ready", n=len(gallery), arena=view is not None)
+    def row_source(rows):
+        nonlocal row_view
+        if not isinstance(rows, ArenaHandle):
+            return rows
+        if row_view is None or row_view.handle.shm_name != rows.shm_name:
+            if row_view is not None:
+                row_view.close()
+            row_view = SharedTrajectoryArena.attach(rows)
+        return row_view.gallery
+
+    def score(rows, blocks):
+        """One kernel block per ``(row_indices, local_cols)``."""
+        rows = row_source(rows)
+        out = []
+        for row_indices, local_cols in blocks:
+            cols = [gallery[c] for c in local_cols]
+            if row_indices is None:
+                out.append(similarity_block(measure, cols))
+            else:
+                out.append(similarity_block(measure, [rows[i] for i in row_indices], cols))
+        return out
+
+    if config.get("log_path"):
+        # Only a log directory wants the start-up record: on a bare
+        # stderr it would print a line per worker of every transient
+        # service behind STS.pairwise(n_jobs=k).
+        log.info("ready", n=len(gallery), arena=view is not None)
 
     tracer = get_tracer()
     delay_s = float(config.get("delay_s", 0.0) or 0.0)
@@ -207,7 +241,7 @@ def worker_main(
             if kind != "score":
                 conn.send(("error", msg[1] if len(msg) > 1 else -1, f"unknown request {kind!r}"))
                 continue
-            req_id, query, local_cols, deadline_wall = msg[1:5]
+            req_id, rows, blocks, deadline_wall = msg[1:5]
             trace_ctx = msg[5] if len(msg) > 5 else None
             scored += 1
             if crash_on_score is not None and scored >= int(crash_on_score):
@@ -220,13 +254,13 @@ def worker_main(
                 continue
             try:
                 if obs_enabled():
+                    pairs = sum(
+                        len(cols) * (len(cols) if r is None else len(r)) for r, cols in blocks
+                    )
                     with tracer.span(
-                        "cluster.worker.score",
-                        shard=shard,
-                        replica=replica,
-                        pairs=len(local_cols),
+                        "cluster.worker.score", shard=shard, replica=replica, pairs=pairs
                     ) as span:
-                        scores = score(query, local_cols)
+                        scores = score(rows, blocks)
                     telemetry = {
                         "pid": os.getpid(),
                         "delta": take_delta(),
@@ -237,16 +271,17 @@ def worker_main(
                         ),
                     }
                 else:
-                    scores = score(query, local_cols)
+                    scores = score(rows, blocks)
                     telemetry = None
-                conn.send(("score", req_id, [float(s) for s in scores], telemetry))
+                conn.send(("score", req_id, scores, telemetry))
             except Exception as exc:
                 traceback.print_exc()
                 log.error("score failed", error=f"{type(exc).__name__}: {exc}")
                 conn.send(("error", req_id, f"{type(exc).__name__}: {exc}"))
     finally:
-        if view is not None:
-            view.close()
+        for attached in (row_view, view):
+            if attached is not None:
+                attached.close()
         try:
             conn.close()
         except OSError:

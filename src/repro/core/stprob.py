@@ -73,6 +73,7 @@ memory unboundedly, and a memoized value is bitwise the one computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from time import perf_counter
 from typing import NamedTuple
@@ -150,6 +151,34 @@ def _segments(los: np.ndarray) -> list[tuple[int, slice]]:
     """``(lo, positions)`` for each run of equal values of the sorted ``los``."""
     bounds = np.flatnonzero(np.diff(los, prepend=-1)).tolist() + [len(los)]
     return [(int(los[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@functools.lru_cache(maxsize=256)
+def _canvas_lattice(
+    rows_half: int, cols_half: int, cell_size: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances at which a kernel canvas is evaluated, and their layout.
+
+    Returns ``(points, lattice)``: ``points[lattice]`` is the canvas's
+    offset-distance lattice, flattened.  The lattice is 8-fold symmetric,
+    so ``points`` is normally its unique distances.  The speed model picks
+    its exact sum or its table by how many values a row asks for
+    (``KDESpeedModel`` takes the table above
+    :data:`~.speed.EXACT_ROW_MAX`), and the path must depend on the canvas
+    alone: a canvas of more cells than that, but with no more unique
+    distances, is evaluated at every cell.  It depends on the canvas
+    halves and the cell size only, so it is memoized per process on those
+    three values (read-only), apart from every estimator's kernel cache.
+    """
+    dx = np.arange(-cols_half, cols_half + 1)
+    dy = np.arange(-rows_half, rows_half + 1)
+    dist = (np.hypot(dx[None, :], dy[:, None]) * cell_size).ravel()
+    unique, inverse = np.unique(dist, return_inverse=True)
+    if unique.size <= EXACT_ROW_MAX < dist.size:
+        unique, inverse = dist, np.arange(dist.size)
+    for array in (unique, inverse):
+        array.setflags(write=False)
+    return unique, inverse
 
 
 def _bind_handles(reg) -> tuple:
@@ -706,7 +735,7 @@ class TrajectorySTP:
         are evaluated in one
         :meth:`~.transition.TransitionModel.distance_weights_batch` call on
         its lattice points and scattered onto the canvas with the
-        lattice's index (:meth:`_canvas_lattice`).
+        lattice's index (:func:`_canvas_lattice`).
         """
         half_r, half_c = self._fft_geometry()[:2]
         stack = np.zeros((gaps.size, 2 * half_r + 1, 2 * half_c + 1))
@@ -718,7 +747,7 @@ class TrajectorySTP:
         # misses of one canvas normally form one group.
         for (h_r, h_c), group in itertools.groupby(missing, key=canvases.__getitem__):
             group = list(group)
-            points, lattice = self._canvas_lattice(h_r, h_c)
+            points, lattice = _canvas_lattice(h_r, h_c, self.grid.cell_size)
             weights = self.transition_model.distance_weights_batch(points, gaps[group])
             shape = (len(group), 2 * h_r + 1, 2 * h_c + 1)
             for j, kernel in zip(group, weights.take(lattice, axis=1).reshape(shape)):
@@ -857,31 +886,6 @@ class TrajectorySTP:
                 self._plane_fft_cache.put(index, value)
             self._m_plane_transforms.inc(len(missing))
         return spectra
-
-    def _canvas_lattice(self, rows_half: int, cols_half: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distances at which a kernel canvas is evaluated, and their layout.
-
-        Returns ``(points, lattice)``: ``points[lattice]`` is the canvas's
-        offset-distance lattice, flattened.  The lattice is 8-fold
-        symmetric, so ``points`` is normally its unique distances.  The
-        speed model picks its exact sum or its table by how many values a
-        row asks for (``KDESpeedModel`` takes the table above
-        :data:`~.speed.EXACT_ROW_MAX`), and the path must depend on the
-        canvas alone: a canvas of more cells than that, but with no more
-        unique distances, is evaluated at every cell.  Cached per canvas
-        shape, across every ``dt`` sharing it.
-        """
-
-        def build() -> tuple[np.ndarray, np.ndarray]:
-            dx = np.arange(-cols_half, cols_half + 1)
-            dy = np.arange(-rows_half, rows_half + 1)
-            dist = (np.hypot(dx[None, :], dy[:, None]) * self.grid.cell_size).ravel()
-            unique, inverse = np.unique(dist, return_inverse=True)
-            if unique.size <= EXACT_ROW_MAX < dist.size:
-                return dist, np.arange(dist.size)
-            return unique, inverse
-
-        return self._kernel_cache.get_or_compute(("lattice", rows_half, cols_half), build)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -357,18 +357,20 @@ class STS:
         symmetrically (each unordered pair once).  In-process, the whole
         matrix is one :meth:`similarity_block`.
 
-        ``n_jobs`` > 1 cuts the matrix into blocks scored by worker
-        processes (see :class:`repro.parallel.ParallelSTS`); ``-1`` uses
-        every available core.  The parallel matrix matches the serial one
-        bitwise regardless of worker count, and the pool is supervised:
-        dead/hung workers are retried, and a pool that keeps failing or
-        cannot start hands its blocks to in-process scoring rather than
-        failing the run.  Process workers read the trajectories from one
-        shared-memory arena, never from a pickled copy.
+        ``n_jobs`` > 1 scores the matrix on a transient
+        :class:`repro.cluster.ClusterService` of ``n_jobs`` shard workers,
+        one block per shard (see :class:`repro.parallel.ParallelSTS`);
+        ``-1`` uses every available core.  The parallel matrix matches the
+        serial one bitwise regardless of worker count: dead and hung
+        workers are restarted and their blocks gathered again, and blocks
+        the workers still cannot score, or a service that cannot start,
+        are scored in-process rather than failing the run.  Workers read
+        the trajectories from shared-memory arenas, never from a pickled
+        copy.
 
-        ``checkpoint`` names a chunk journal file (atomic write-rename);
+        ``checkpoint`` names a block journal file (atomic write-rename);
         an interrupted run pointed at the same file resumes from the last
-        completed chunk.  Resume requires the same ``n_jobs``.
+        completed block.  Resume requires the same ``n_jobs``.
 
         ``deadline`` caps the whole call at that many wall-clock seconds;
         pairs not scored in time come back NaN (see
@@ -376,10 +378,10 @@ class STS:
         calls always route through).
 
         ``cluster`` (a :class:`repro.cluster.ClusterService` built from
-        this exact ``gallery``) scatter-gathers each row across the
-        service's shard workers instead of scoring in-process: replica
-        death fails over, and entries owned by a shard the service had to
-        skip come back NaN — the same partial-result convention as
+        this exact ``gallery``) scores every row against each shard as one
+        block on the service's shard workers instead of in-process:
+        replica death fails over, and entries owned by a shard the service
+        had to skip come back NaN — the same partial-result convention as
         ``deadline``.  Healthy cluster → bitwise identical to the serial
         matrix.
         """
@@ -391,12 +393,11 @@ class STS:
                 )
             from ..serving.budget import Budget
 
-            rows = list(gallery) if queries is None else list(queries)
             budget = (
                 Budget(deadline_ms=deadline * 1000.0) if deadline is not None else None
             )
             t_start = perf_counter()
-            out, _reports = cluster.pairwise(rows, budget=budget)
+            out, _report = cluster.pairwise(queries, budget=budget)
             self._h_pairwise.observe(perf_counter() - t_start)
             return out
         if (n_jobs is not None and n_jobs != 1) or checkpoint is not None or deadline is not None:

@@ -8,9 +8,9 @@ them apart to react correctly:
   repairing the offending record (see :mod:`repro.preprocess` and the
   ``on_error`` policy knob).
 * **infrastructure failure** — a worker process killed by the OOM
-  killer, a hung chunk, a broken pool.  Recoverable by retrying or
-  degrading to a more conservative backend (see
-  :mod:`repro.parallel.supervisor`).
+  killer, a hung request, a service that cannot start.  Recoverable by
+  restarting, gathering again or scoring in-process (see
+  :mod:`repro.parallel.sts` and :mod:`repro.cluster.service`).
 * **operator error** — resuming from a checkpoint that belongs to a
   different run.  Not recoverable; fail loudly.
 
@@ -60,22 +60,22 @@ class DegenerateTrajectoryError(ReproError, ValueError):
 
 
 class WorkerCrashError(ReproError, RuntimeError):
-    """A pool worker died (segfault, OOM kill, ``os._exit``) while
-    scoring a chunk.  Raised only after the supervisor exhausted its
-    retry/degradation ladder; the :class:`~repro.parallel.supervisor.
-    RunHealth` attached to the run records every intermediate crash."""
+    """A worker process died (segfault, OOM kill, ``os._exit``) while
+    scoring a block, and recovery options are exhausted; the health
+    report of the run records every intermediate crash."""
 
 
 class ChunkTimeoutError(ReproError, TimeoutError):
-    """No chunk made progress within the configured timeout — a worker
-    is hung (deadlock, runaway input).  Like :class:`WorkerCrashError`,
-    surfaced only once recovery options are exhausted."""
+    """A worker made no progress within the request timeout — it is hung
+    (deadlock, runaway input).  Like :class:`WorkerCrashError`, surfaced
+    only once recovery options are exhausted."""
 
 
 class ScoreCorruptionError(ReproError, RuntimeError):
-    """A worker returned a non-finite similarity score.  STS scores are
-    probabilities in ``[0, 1]``; NaN/inf coming back from a chunk means
-    the worker's state is corrupt and the chunk must be re-scored."""
+    """A block came back with a non-finite similarity score.  STS scores
+    are probabilities in ``[0, 1]``; NaN/inf from a worker means its
+    state is corrupt and the block must be re-scored, and NaN/inf
+    in-process is a deterministic failure."""
 
 
 class CheckpointError(ReproError, RuntimeError):

@@ -123,14 +123,12 @@ def default_slos() -> tuple[SLO, ...]:
             description="99% of matcher queries complete within 500 ms",
         ),
         SLO(
-            name="chunk-error-rate",
+            name="shard-error-rate",
             objective=0.999,
             signal="error_ratio",
-            bad_counter="repro_supervisor_chunks_total",
-            bad_labels={"event": "shed"},
-            total_counter="repro_supervisor_chunks_total",
-            total_labels={"event": "queued"},
-            description="99.9% of dispatched chunks complete without shedding",
+            bad_counter="repro_cluster_shard_skipped_total",
+            total_counter="repro_cluster_shard_calls_total",
+            description="99.9% of shard requests are answered, not skipped",
         ),
         SLO(
             name="cluster-coverage",

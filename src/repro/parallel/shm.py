@@ -1,14 +1,15 @@
 """Zero-copy gallery broadcast through POSIX shared memory.
 
-Pickling the trajectory collections into every process worker costs
+Pickling the trajectory collections into every worker process costs
 O(corpus bytes × workers) of serialization per ``pairwise`` call, which
-can dominate the Eq. 10 scoring the pool is meant to parallelize.  So
-the process backend of :mod:`repro.parallel` puts the read-only corpus
-in shared memory **once**, and ships only indices.
+can dominate the Eq. 10 scoring the workers are meant to parallelize.
+So the shard workers of :mod:`repro.cluster` read the read-only corpus
+from shared memory, packed **once**, and requests ship only indices.
 
 :class:`SharedTrajectoryArena` packs a gallery's ``(t, x, y)`` arrays
 (plus per-trajectory offsets) into one ``multiprocessing.shared_memory``
-block.  Workers attach at pool-initializer time and reconstruct
+block.  A shard worker attaches its shard's arena when it starts, and a
+matrix call's row arena on its first request, and reconstructs
 :class:`~repro.core.trajectory.Trajectory` *views* over the block with
 :meth:`Trajectory.from_views` — ``np.ndarray(buffer=shm.buf)`` slices,
 no per-point objects, no copies.  Because the packed arrays are the
@@ -30,7 +31,7 @@ Ownership protocol (leak safety)
   shared_memory" warning is emitted at shutdown, while a crashed
   *parent* still gets its segment reaped by the tracker.
 
-In-process scoring, the last rung of the degradation ladder, uses the
+In-process scoring, the last rung of :mod:`repro.parallel`, uses the
 caller's own trajectory lists and never attaches.
 """
 
@@ -58,7 +59,7 @@ class ArenaHandle:
     """Picklable description of a packed arena: everything a worker needs.
 
     The handle is tiny — a segment name, integer offsets and object ids —
-    so shipping it through pool ``initargs`` costs bytes where pickling
+    so shipping it to a worker or in a request costs bytes where pickling
     the trajectories themselves cost megabytes.
     """
 

@@ -1,81 +1,204 @@
-"""Parallel pairwise similarity: cut the matrix into blocks across workers.
+"""Parallel pairwise similarity: one block per shard on a transient cluster.
 
 A similarity matrix is embarrassingly parallel — every entry is an
-independent Eq. 10 score — but a naive fan-out re-pickles the measure per
-pair and loses the symmetric structure.  :class:`ParallelSTS` cuts the
-matrix into rectangular :class:`~repro.parallel.pool.Block` chunks and
-dispatches them to a pool whose workers each hold one private copy of
-the measure (built once per worker by the pool initializer); a worker
-scores its block in one call to the measure's block kernel
-(:meth:`repro.core.STS.similarity_block`), and the parent assembles the
-matrix deterministically from ``(row, col, score)`` triples.  The
-kernel's entries do not depend on the block they are computed in, so the
-parallel matrix matches ``STS.pairwise`` to the last bit regardless of
-worker count, block plan, or rung.
+independent Eq. 10 score.  :class:`ParallelSTS` runs a call on the one
+process engine of this package, a :class:`~repro.cluster.ClusterService`:
+it starts ``ClusterService(measure, gallery, n_shards=n_jobs,
+n_replicas=1, hedge=False)`` for the call, packs the call's rows into one
+:class:`~repro.parallel.shm.SharedTrajectoryArena` that every replica
+attaches, sends each shard one request of row indices, and closes the
+service.  Each replica scores its blocks with the Eq. 10 block kernel
+(:meth:`repro.core.STS.similarity_block`).  The kernel's entries do not
+depend on the block they are computed in and the arenas hold the exact
+float64 values of the caller's trajectories, so the parallel matrix
+matches ``STS.pairwise`` to the last bit whatever the worker count, plan
+or path.
 
-Transport: each call packs the trajectory corpus into one
-:class:`~repro.parallel.shm.SharedTrajectoryArena`; process workers
-attach to it at initializer time and score zero-copy views, so the
-per-call pickle payload is the measure plus bare index chunks.
-In-process scoring reads the caller's own trajectory lists and needs no
-arena.
+Plan: a rectangular matrix is one block per shard, every row against
+the shard's columns.  A self-matrix scores each unordered pair once with
+about equal pair counts per shard: shard ``s`` scores its own self block,
+and each cross block ``C_t × C_s`` (``t < s``) is split by the rows of
+``C_t`` — the first half is scored at ``s`` as rows against ``C_s``, the
+rest at ``t`` as rows ``C_s`` against those columns of ``C_t``.
 
-Blocks: the rows and columns are each dealt round-robin into index
-groups of equal size, and every (row group, column group) is a block —
-for a self-matrix, every group pair on or above the diagonal.  Every
-pair is scored exactly once.
-
-Execution is *supervised* (see :mod:`repro.parallel.supervisor`): dead
-workers are detected and their chunks retried with capped exponential
-backoff, hung chunks are timed out, and a pool that keeps failing or
-cannot start hands its chunks to in-process scoring rather than failing
-the run.  What happened is recorded in the
-:class:`~repro.parallel.supervisor.RunHealth` exposed as
+Robustness rides on the service: a dead replica is restarted and a hung
+one killed at the request timeout.  Blocks a gather leaves unscored, or
+answers with a non-finite score, are gathered again, up to the service's
+``max_restarts`` more rounds.  Without a deadline, blocks still unscored
+after that — or the whole matrix when the service cannot start (no
+shared memory, no fork, a measure a spawn platform cannot pickle) — are
+scored in-process, announced by one ``RuntimeWarning`` and a
+``repro_parallel_shm_fallback_total`` increment; a block that fails
+in-process too raises.  With a deadline, unscored blocks come back NaN.
+What happened is recorded in the :class:`MatrixHealth` exposed as
 :attr:`ParallelSTS.last_health`.  Passing ``checkpoint=`` journals
-completed chunks to disk (atomic write-rename) so an interrupted run
+completed blocks to disk (atomic write-rename) so an interrupted run
 resumes from the last good state — see :mod:`repro.checkpoint`.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
 import numpy as np
 
 from ..checkpoint import PairwiseCheckpoint
+from ..cluster.plan import ShardPlan, gallery_keys
+from ..cluster.service import ClusterReport, ClusterService
+from ..core.kernel import plan_sub_blocks
 from ..core.trajectory import Trajectory
+from ..errors import ScoreCorruptionError
 from ..obs import get_registry, trace_span
+from ..serving.budget import Budget
 from ..similarity.base import similarity_block
-from .pool import Block, chunk_pairs, resolve_n_jobs
+from .pool import resolve_n_jobs
 from .shm import SharedTrajectoryArena
-from .supervisor import RunHealth, SupervisedExecutor
 
-__all__ = ["ParallelSTS"]
-
-#: Dispatch granularity: a matrix is cut into at least ``n_jobs *
-#: CHUNKS_PER_WORKER`` blocks where it has that many pairs, trading
-#: scheduling slack against per-block overhead.
-CHUNKS_PER_WORKER = 4
-
-#: Ratio buckets for the chunk-imbalance histogram (chunk cost / mean).
-_IMBALANCE_BUCKETS = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
+__all__ = ["MatrixHealth", "ParallelSTS"]
 
 
-def _assemble(out: np.ndarray, results, symmetric: bool) -> np.ndarray:
-    """Write every chunk's ``(row, col, score)`` triples into ``out``."""
-    for triples in results:
-        for i, j, score in triples:
-            out[i, j] = score
-            if symmetric:
-                out[j, i] = score
-    return out
+@dataclass
+class MatrixHealth:
+    """Structured account of one :meth:`ParallelSTS.pairwise` call.
+
+    ``n_chunks`` counts the blocks of the call's plan and
+    ``resumed_chunks`` those read back from its checkpoint; ``retries``
+    counts gathers after the first; ``degradations`` holds
+    ``"process->serial"`` when blocks were scored in-process.
+    ``reports`` holds the :class:`~repro.cluster.ClusterReport` of every
+    gather, and ``events`` what the engine itself saw (non-finite
+    blocks, blocks shed at the deadline).
+    """
+
+    n_chunks: int = 0
+    resumed_chunks: int = 0
+    retries: int = 0
+    degradations: list[str] = field(default_factory=list)
+    deadline_expired: bool = False
+    events: list[str] = field(default_factory=list)
+    reports: list[ClusterReport] = field(default_factory=list)
+    #: Metrics snapshot taken when the call finished (None when obs is off).
+    metrics: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        """True when the call needed no recovery at all."""
+        return (
+            not (self.retries or self.degradations or self.deadline_expired or self.events)
+            and all(report.ok for report in self.reports)
+        )
+
+    def summary(self) -> str:
+        """One-line human summary of the call's health."""
+        if self.ok:
+            return f"healthy: {self.n_chunks} blocks, no incidents"
+        return (
+            f"recovered: {self.n_chunks} blocks, {self.retries} retries, "
+            f"degradations {self.degradations or 'none'}"
+            + (", deadline EXPIRED" if self.deadline_expired else "")
+        )
 
 
-def _groups(n: int, n_groups: int) -> list[tuple[int, ...]]:
-    """Deal ``range(n)`` round-robin into ``n_groups`` ascending index groups."""
-    return [tuple(g) for g in chunk_pairs(list(range(n)), n_groups, 1)]
+def _shard_plan(members: list[list[int]], n_rows: int, symmetric: bool) -> list[tuple]:
+    """The blocks ``(shard, row indices | None, local columns)`` of a call.
+
+    ``members[s]`` lists the gallery indices shard ``s`` owns.  ``None``
+    rows mark a shard's self block over the given columns.
+    """
+    shards = [s for s, m in enumerate(members) if m]
+    plan = []
+    for s in shards:
+        cols = tuple(range(len(members[s])))
+        if not symmetric:
+            plan.append((s, tuple(range(n_rows)), cols))
+            continue
+        plan.append((s, None, cols))
+        below = tuple(g for t in shards if t < s for g in members[t][: len(members[t]) // 2])
+        if below:
+            plan.append((s, below, cols))
+        above = tuple(g for u in shards if u > s for g in members[u])
+        rest = cols[len(cols) // 2:]
+        if above and rest:
+            plan.append((s, above, rest))
+    return plan
+
+
+def _sub_block_plan(rows, gallery, symmetric: bool) -> list[tuple]:
+    """:func:`~repro.core.kernel.plan_sub_blocks` as blocks of one shard."""
+    subs = plan_sub_blocks(
+        [len(t) for t in rows], None if symmetric else [len(t) for t in gallery]
+    )
+    return [
+        (0, None, tuple(range(r.start, r.stop)))
+        if c is None
+        else (0, tuple(range(r.start, r.stop)), tuple(range(c.start, c.stop)))
+        for r, c in subs
+    ]
+
+
+class _Call:
+    """One pairwise call: its plan, its matrix and its journal."""
+
+    def __init__(self, measure, gallery, rows, members, blocks, health, ckpt):
+        self.measure = measure
+        self.gallery = gallery
+        self.rows = rows
+        self.symmetric = rows is gallery
+        self.members = members
+        self.blocks = blocks
+        self.health = health
+        self.ckpt = ckpt
+        self.out = np.zeros((len(rows), len(gallery)))
+
+    def cells(self, k: int) -> tuple[list[int], list[int]]:
+        """Block ``k``'s row and column indices in the matrix."""
+        shard, row_indices, local = self.blocks[k]
+        cols = [self.members[shard][c] for c in local]
+        return (cols if row_indices is None else list(row_indices)), cols
+
+    def score_here(self, k: int) -> np.ndarray:
+        """Block ``k`` scored in the calling process."""
+        rows, cols = self.cells(k)
+        cols = [self.gallery[j] for j in cols]
+        if self.blocks[k][1] is None:
+            return similarity_block(self.measure, cols)
+        return similarity_block(self.measure, [self.rows[i] for i in rows], cols)
+
+    def store(self, k: int, scores: np.ndarray) -> None:
+        """Write block ``k`` into the matrix and journal it."""
+        rows, cols = self.cells(k)
+        self.out[np.ix_(rows, cols)] = scores
+        if self.symmetric:
+            self.out[np.ix_(cols, rows)] = scores.T
+        if self.ckpt is not None:
+            self.ckpt.record(
+                k,
+                [
+                    (i, j, float(scores[a, b]))
+                    for a, i in enumerate(rows)
+                    for b, j in enumerate(cols)
+                ],
+            )
+
+    def resume(self, done: dict) -> None:
+        """Write journaled blocks back into the matrix."""
+        for triples in done.values():
+            for i, j, score in triples:
+                self.out[i, j] = score
+                if self.symmetric:
+                    self.out[j, i] = score
+
+    def shed(self, ks: Sequence[int]) -> None:
+        """NaN-fill blocks left unscored at the deadline; never journaled."""
+        for k in ks:
+            rows, cols = self.cells(k)
+            self.out[np.ix_(rows, cols)] = np.nan
+            if self.symmetric:
+                self.out[np.ix_(cols, rows)] = np.nan
+            self.health.events.append(f"block {k} shed at the deadline")
 
 
 class ParallelSTS:
@@ -87,38 +210,26 @@ class ParallelSTS:
         Typically :class:`repro.core.STS`, whose blocks are scored by its
         Eq. 10 kernel; any other object with a ``similarity(tra1, tra2)
         -> float`` method is scored entry by entry (see
-        :func:`repro.similarity.base.similarity_block`).  Process workers
-        each get a private pickled copy; STS and its ablation variants
-        pickle.  A measure that does not pickle, or a host without an
-        arena, is scored in-process with one ``RuntimeWarning``.
+        :func:`repro.similarity.base.similarity_block`).  Shard workers
+        are forked with it where the platform can fork; elsewhere it is
+        pickled, and a measure that does not pickle is scored in-process
+        with one ``RuntimeWarning``.
     n_jobs:
-        Worker processes; ``-1`` means one per available CPU
+        Shard workers; ``-1`` means one per available CPU
         (``None``/``1`` run serially in-process).
-    chunk_timeout, on_error:
-        Supervision settings, forwarded to the supervisor — see
-        :class:`~repro.parallel.supervisor.SupervisedExecutor`.
 
     Attributes
     ----------
     last_health:
-        The :class:`~repro.parallel.supervisor.RunHealth` of the most
-        recent :meth:`pairwise` call (``None`` before the first call, or
-        when the serial fast path ran).
+        The :class:`MatrixHealth` of the most recent :meth:`pairwise`
+        call (``None`` before the first call, or when the serial fast
+        path ran).
     """
 
-    def __init__(
-        self,
-        measure,
-        n_jobs: int | None = -1,
-        chunk_timeout: float | None = None,
-        on_error: str = "raise",
-        registry=None,
-    ):
+    def __init__(self, measure, n_jobs: int | None = -1, registry=None):
         self.measure = measure
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.chunk_timeout = chunk_timeout
-        self.on_error = on_error
-        self.last_health: RunHealth | None = None
+        self.last_health: MatrixHealth | None = None
         # Share the measure's registry when it has one, so parallel and
         # serial metrics land in one place.
         if registry is not None:
@@ -128,72 +239,33 @@ class ParallelSTS:
         self._h_pairwise = self._registry.histogram(
             "repro_pairwise_seconds", "Wall seconds per pairwise() call"
         ).child()
-        self._h_imbalance = self._registry.histogram(
-            "repro_parallel_chunk_imbalance",
-            "Estimated chunk cost over the mean chunk cost, per chunk",
-            buckets=_IMBALANCE_BUCKETS,
-        ).child()
+        self._m_fallback = self._registry.counter(
+            "repro_parallel_shm_fallback_total",
+            "Parallel runs that fell back from shared-memory process "
+            "workers to in-process scoring",
+        )
 
     # ------------------------------------------------------------------
     def similarity(self, tra1: Trajectory, tra2: Trajectory) -> float:
         """Single-pair passthrough (no parallelism for one score)."""
         return self.measure.similarity(tra1, tra2)
 
-    def _fingerprint(
-        self, n_rows: int, n_cols: int, n_pairs: int, n_chunks: int, symmetric: bool
-    ) -> dict:
+    def _fingerprint(self, call: _Call, placement: str | None) -> dict:
+        n_rows, n_cols = call.out.shape
         return {
             "kind": "pairwise",
-            # Chunk k is the k-th rectangular Block of _plan_blocks; journals
-            # whose chunks were interleaved pair lists carry no "plan" and
-            # must not resume into blocks, even when the counts match.
-            "plan": "blocks",
+            # Block k is the k-th block of the shard plan, or of the kernel's
+            # sub-block plan in-process; journals of the retired round-robin
+            # plan ("blocks") are refused.
+            "plan": "shards" if placement is not None else "sub-blocks",
+            "placement": placement,
             "measure": getattr(self.measure, "name", type(self.measure).__name__),
             "n_rows": n_rows,
             "n_cols": n_cols,
-            "n_pairs": n_pairs,
-            "n_chunks": n_chunks,
-            "symmetric": symmetric,
-            # The one block plan deals indices by count; journals written
-            # by a cost-balanced plan must not resume into it.
-            "chunking": "count",
+            "n_pairs": n_rows * (n_rows + 1) // 2 if call.symmetric else n_rows * n_cols,
+            "n_chunks": len(call.blocks),
+            "symmetric": call.symmetric,
         }
-
-    def _plan_blocks(self, n_rows: int, n_cols: int, symmetric: bool) -> list[Block]:
-        """Cut ``n_rows × n_cols`` into blocks of round-robin index groups.
-
-        A self-matrix (``symmetric``) splits its indices into ``g`` groups
-        and takes the ``g(g+1)/2`` group pairs on or above the diagonal;
-        a rectangular matrix takes every (row group, column group), with
-        group counts chosen so the blocks come out near-square.
-        """
-        target = max(1, self.n_jobs * CHUNKS_PER_WORKER)
-        if symmetric:
-            n_groups = 1
-            while n_groups < n_rows and n_groups * (n_groups + 1) // 2 < target:
-                n_groups += 1
-            groups = _groups(n_rows, n_groups)
-            blocks = [
-                Block(groups[a], None if b == a else groups[b])
-                for a in range(len(groups))
-                for b in range(a, len(groups))
-            ]
-        else:
-            n_row_groups = min(
-                n_rows, max(1, round(math.sqrt(target * n_rows / n_cols)))
-            )
-            n_col_groups = min(n_cols, max(1, -(-target // n_row_groups)))
-            blocks = [
-                Block(row_group, col_group)
-                for row_group in _groups(n_rows, n_row_groups)
-                for col_group in _groups(n_cols, n_col_groups)
-            ]
-        totals = [len(block) for block in blocks]
-        mean = sum(totals) / len(totals)
-        if mean > 0:
-            for total in totals:
-                self._h_imbalance.observe(total / mean)
-        return blocks
 
     # ------------------------------------------------------------------
     def pairwise(
@@ -203,98 +275,157 @@ class ParallelSTS:
         checkpoint: str | None = None,
         deadline: float | None = None,
     ) -> np.ndarray:
-        """Similarity matrix, sharded across the worker pool.
+        """Similarity matrix, one block per shard worker.
 
         Mirrors :meth:`repro.core.STS.pairwise`: with ``queries=None`` the
         result is the symmetric ``gallery × gallery`` matrix with each
         unordered pair scored once; otherwise ``S[i, j] =
         similarity(queries[i], gallery[j])``.
 
-        ``checkpoint`` names a journal file: completed chunks are
+        ``checkpoint`` names a journal file: completed blocks are
         persisted there (atomic write-rename) and a rerun pointing at the
-        same file skips them.  Resume requires the same chunk plan — same
+        same file skips them.  Resume requires the same plan — same
         collections and ``n_jobs`` — which the journal's fingerprint
-        enforces.
+        enforces.  With ``n_jobs=1`` the blocks are the kernel's
+        sub-blocks, scored in-process.
 
         ``deadline`` caps the whole call at that many wall-clock seconds:
-        chunks not finished in time come back NaN-filled (recorded as
-        ``deadline-shed`` in :attr:`last_health`, whose
-        ``deadline_expired`` flag is set).  Shed chunks are never
-        journaled, so an unbounded rerun on the same checkpoint
+        blocks not scored in time come back NaN-filled, and
+        :attr:`last_health` has ``deadline_expired`` set.  Shed blocks
+        are never journaled, so an unbounded rerun on the same checkpoint
         recomputes exactly the missing entries.
         """
-        symmetric = queries is None
-        rows = gallery if symmetric else queries
-        out = np.zeros((len(rows), len(gallery)))
-        n_pairs = len(rows) * (len(rows) + 1) // 2 if symmetric else out.size
+        gallery = list(gallery)
+        rows = gallery if queries is None else list(queries)
+        symmetric = rows is gallery
+        n_pairs = len(rows) * (len(rows) + 1) // 2 if symmetric else len(rows) * len(gallery)
         if not n_pairs:
-            return out
+            return np.zeros((len(rows), len(gallery)))
+        if deadline is not None and deadline < 0:
+            raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
         t0 = perf_counter()
         if self.n_jobs == 1 and checkpoint is None and deadline is None:
             # Serial, unjournaled and undeadlined: the whole matrix is one
-            # kernel block, and there is nothing to supervise in-process.
+            # kernel block.
             self.last_health = None
             out = similarity_block(self.measure, rows, None if symmetric else gallery)
             self._h_pairwise.observe(perf_counter() - t0)
             return out
+        budget = None if deadline is None else Budget(deadline_ms=deadline * 1000.0).start()
 
-        chunks = self._plan_blocks(len(rows), len(gallery), symmetric)
-        ckpt = None
-        done = None
-        if checkpoint is not None:
-            ckpt = PairwiseCheckpoint(
-                checkpoint,
-                self._fingerprint(
-                    out.shape[0], out.shape[1], n_pairs, len(chunks), symmetric
-                ),
-            )
-            done = ckpt.completed
-        arena = None
+        placement = None
         if self.n_jobs > 1:
-            # Only process workers read the arena.  Without one (e.g. no
-            # /dev/shm) the pool cannot start, and the supervisor scores
-            # in-process and announces it.
-            try:
-                arena = SharedTrajectoryArena.pack(
-                    gallery, queries, registry=self._registry
-                )
-            except OSError:
-                pass
-        try:
-            supervisor = SupervisedExecutor(
-                self.measure,
-                list(gallery),
-                list(queries) if queries is not None else None,
-                self.n_jobs,
-                chunk_timeout=self.chunk_timeout,
-                on_error=self.on_error,
-                deadline=deadline,
-                registry=self._registry,
-                arena_handle=arena.handle if arena is not None else None,
-            )
-            self.last_health = supervisor.health
-            with trace_span(
-                "parallel.pairwise",
-                n_jobs=self.n_jobs,
-                chunks=len(chunks),
-                shm=arena is not None,
-            ):
-                results = supervisor.run(
-                    chunks,
-                    done=done,
-                    on_chunk_done=ckpt.record if ckpt is not None else None,
-                )
-        finally:
-            if arena is not None:
-                arena.close()
-        if ckpt is not None:
-            ckpt.flush()
-        out = _assemble(out, results.values(), symmetric)
-        # The whole call, arena pack included, as on the serial path.
+            plan = ShardPlan(self.n_jobs, 1)
+            keys = gallery_keys(gallery)
+            members = plan.assign(keys)
+            blocks = _shard_plan(members, len(rows), symmetric)
+            placement = plan.fingerprint(keys)
+        else:
+            members = [list(range(len(gallery)))]
+            blocks = _sub_block_plan(rows, gallery, symmetric)
+        health = MatrixHealth(n_chunks=len(blocks))
+        self.last_health = health
+        call = _Call(self.measure, gallery, rows, members, blocks, health, None)
+        todo = list(range(len(blocks)))
+        if checkpoint is not None:
+            call.ckpt = PairwiseCheckpoint(checkpoint, self._fingerprint(call, placement))
+            done = call.ckpt.completed
+            call.resume(done)
+            health.resumed_chunks = len(done)
+            todo = [k for k in todo if k not in done]
+
+        with trace_span("parallel.pairwise", n_jobs=self.n_jobs, blocks=len(blocks)):
+            if todo and self.n_jobs > 1:
+                todo = self._gather(call, todo, budget)
+            for pos, k in enumerate(todo):
+                if budget is not None and budget.expired():
+                    health.deadline_expired = True
+                    call.shed(todo[pos:])
+                    break
+                scores = call.score_here(k)
+                if not np.isfinite(scores).all():
+                    raise ScoreCorruptionError(
+                        f"block {k} produced a non-finite score in-process"
+                    )
+                call.store(k, scores)
+        if call.ckpt is not None:
+            call.ckpt.flush()
+        # The whole call, service start and arena pack included, as on
+        # the serial path.
         self._h_pairwise.observe(perf_counter() - t0)
         if getattr(self._registry, "enabled", False):
-            supervisor.health.metrics = self._registry.snapshot()
-        return out
+            health.metrics = self._registry.snapshot()
+        return call.out
+
+    def _gather(self, call: _Call, todo: list[int], budget: Budget | None) -> list[int]:
+        """Score ``todo`` on a transient service; returns what is left in-process."""
+        health = call.health
+        arena = None
+        try:
+            arena = SharedTrajectoryArena.pack(call.rows, registry=self._registry)
+            service = ClusterService(
+                self.measure,
+                call.gallery,
+                n_shards=self.n_jobs,
+                n_replicas=1,
+                hedge=False,
+                registry=self._registry,
+            )
+        except Exception as exc:  # no shared memory, no fork, an unpicklable measure
+            if arena is not None:
+                arena.close()
+            self._step_down(health, "backend-unavailable", f"{type(exc).__name__}: {exc}")
+            return todo
+        try:
+            for attempt in range(1 + service.max_restarts):
+                if attempt:
+                    health.retries += 1
+                by_shard: dict[int, list[int]] = {}
+                for k in todo:
+                    by_shard.setdefault(call.blocks[k][0], []).append(k)
+                requests = {s: [call.blocks[k][1:] for k in ks] for s, ks in by_shard.items()}
+                answers, report = service.score_blocks(arena.handle, requests, budget)
+                health.reports.append(report)
+                for shard, matrices in answers.items():
+                    for k, scores in zip(by_shard[shard], matrices):
+                        if np.isfinite(scores).all():
+                            call.store(k, scores)
+                            todo.remove(k)
+                        else:
+                            health.events.append(
+                                f"block {k} on shard {shard}: non-finite score"
+                            )
+                if not todo or (budget is not None and budget.expired()):
+                    break
+        finally:
+            service.close()
+            arena.close()
+        if todo and budget is not None:
+            health.deadline_expired = budget.expired()
+            call.shed(todo)
+            return []
+        if todo:
+            self._step_down(
+                health,
+                "unscored",
+                f"{len(todo)} block(s) unscored after {len(health.reports)} gather(s)",
+            )
+        return todo
+
+    def _step_down(self, health: MatrixHealth, kind: str, detail: str) -> None:
+        """Record the step to in-process scoring; warn and count it once.
+
+        In-process scoring runs on one core, so a silent step down would
+        look like a throughput regression with no cause.
+        """
+        health.degradations.append("process->serial")
+        self._m_fallback.inc(reason=kind)
+        warnings.warn(
+            f"parallel scoring fell back from process workers to in-process "
+            f"scoring ({kind}: {detail}); expect single-core throughput",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
     def __repr__(self) -> str:
         return f"ParallelSTS({self.measure!r}, n_jobs={self.n_jobs})"

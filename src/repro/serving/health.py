@@ -1,7 +1,7 @@
 """Structured account of one deadline-aware serving call.
 
 :class:`ServiceHealth` mirrors the batch pipeline's
-:class:`~repro.parallel.supervisor.RunHealth`: a clean call has ``ok``
+:class:`~repro.parallel.MatrixHealth`: a clean call has ``ok``
 true and no events; everything the serving layer had to absorb to meet
 its deadline — degradation rungs, shed pairs, tripped breakers, dropped
 or malformed events — is counted here and detailed in ``events``.

@@ -6,14 +6,18 @@ through each shipped execution path and compares the results:
 * every *production* path (batch, process parallel,
   anytime-unbounded, cluster 2×2) must be **bitwise**
   identical to the serial baseline — that is what their docstrings
-  promise, and ulp drift of zero is the only acceptable outcome;
+  promise, and ulp drift of zero is the only acceptable outcome.  The
+  two process paths are two topologies of one engine, the
+  :class:`~repro.cluster.ClusterService`: a transient 2-shard ×
+  1-replica service behind ``n_jobs=2``, and a caller's 2 × 2 hedged
+  service;
 * the *oracle* (:mod:`repro.verify.oracle`) is compared within the
   documented :data:`~repro.verify.oracle.ORACLE_ATOL`, since production
   deliberately truncates/sparsifies mass the oracle keeps.
 
 Every path scores the rectangular ``queries × gallery`` matrix through
 the one Eq. 10 block kernel (:mod:`repro.core.kernel`) — as 1×1 blocks
-(serial), the whole matrix (batch), row/column blocks (parallel,
+(serial), the whole matrix (batch), one block per shard (parallel,
 cluster) or term by term with the kernel's reduction (anytime).  A
 kernel entry depends only on its pair, so bitwise equality holds by
 construction; the ``symmetry`` and ``block_invariance`` relations check
@@ -136,11 +140,14 @@ PATHS: Dict[str, PathSpec] = {
                  _run_serial),
         PathSpec("batch", "STS.pairwise, single process", _run_batch),
         PathSpec("parallel-process",
-                 "STS.pairwise n_jobs=2, process workers, shared-memory corpus",
+                 "STS.pairwise n_jobs=2: transient 2x1 ClusterService, "
+                 "one block per shard",
                  _run_parallel_process),
         PathSpec("anytime", "anytime_similarity with unbounded budget",
                  _run_anytime),
-        PathSpec("cluster-2x2", "2-shard 2-replica ClusterService",
+        PathSpec("cluster-2x2",
+                 "STS.pairwise cluster=: 2-shard 2-replica hedged "
+                 "ClusterService, one block per shard",
                  _run_cluster),
         PathSpec("oracle", "slow dense reference (Eqs. 3-10)",
                  _run_oracle, tolerance=ORACLE_ATOL),

@@ -2,8 +2,8 @@
 
 The ownership protocol says the parent owns the segment and unlinks it
 exactly once, no matter how the run ends: clean exit, a worker taken by
-SIGKILL, a hang that forces the supervisor to kill the pool, or a
-degradation off the process rung entirely.  These tests assert the
+SIGKILL, a hang that makes the service kill the worker, or a
+degradation off the shard workers entirely.  These tests assert the
 protocol's observable consequence — every segment the run's arenas
 created is gone from ``/dev/shm`` afterwards — and that Python's
 ``resource_tracker`` agrees (no "leaked shared_memory" warning at
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterService
+from repro.cluster import service as cluster_service
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS, SharedTrajectoryArena
 
@@ -75,10 +76,10 @@ def packed(monkeypatch):
 class ProcessAllergicMeasure:
     """Kills any worker *process* that scores with it; fine in-process.
 
-    Deterministic degradation driver: every process-pool round dies with
-    a SIGKILL-equivalent (``os._exit``), so the supervisor must step down
-    to in-process scoring — where the pid check passes — while the arena
-    it broadcast for the process workers has to be cleaned up.
+    Deterministic degradation driver: every gather's workers die with a
+    SIGKILL-equivalent (``os._exit``), so the engine must step down to
+    in-process scoring — where the pid check passes — while the arenas it
+    packed for the workers have to be cleaned up.
     """
 
     def __init__(self, base):
@@ -111,20 +112,22 @@ class TestNoLeakedSegments:
         wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert wrapper.last_health.worker_crashes >= 1
+        assert sum(report.restarts for report in wrapper.last_health.reports) >= 1
         packed.assert_unlinked()
 
     def test_hung_worker_killed_pool_leaves_no_segment(
-        self, grid, gallery, clean_serial, tmp_path, packed
+        self, grid, gallery, clean_serial, tmp_path, packed, monkeypatch
     ):
+        monkeypatch.setattr(cluster_service, "REQUEST_TIMEOUT_S", 1.5)
         faulty = FaultyMeasure(
             STS(grid), "hang", ("a", "c"), tmp_path / "hang.token",
             hang_seconds=60.0,
         )
-        wrapper = ParallelSTS(faulty, n_jobs=2, chunk_timeout=1.5)
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert wrapper.last_health.timeouts >= 1
+        events = [e for report in wrapper.last_health.reports for e in report.events]
+        assert any("timed out" in event for event in events)
         packed.assert_unlinked()
 
     def test_degradation_leaves_no_segment(self, grid, gallery, clean_serial, packed):
@@ -136,15 +139,15 @@ class TestNoLeakedSegments:
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
         assert health.degradations == ["process->serial"]
-        assert health.backends_used == ["process", "serial"]
+        assert health.reports and not any(report.ok for report in health.reports)
         packed.assert_unlinked()
 
     def test_workers_that_cannot_start_score_in_process(
         self, grid, gallery, clean_serial, monkeypatch, packed
     ):
-        # The pool forks its workers on the first submit.  A fork that
-        # fails (EAGAIN: out of process ids) is a pool that cannot start:
-        # no round, no retry, one announced step down, no segment left.
+        # A fork that fails (EAGAIN: out of process ids) is a service that
+        # cannot start: no gather, no retry, one announced step down, and
+        # the arenas packed before the fork are unlinked.
         import errno
         import multiprocessing.process
 
@@ -161,12 +164,9 @@ class TestNoLeakedSegments:
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
-        assert health.rounds == 0
+        assert health.reports == []
         assert health.retries == 0
         assert health.degradations == ["process->serial"]
-        assert health.backends_used == ["serial"]
-        assert {e.kind for e in health.events} == {"backend-unavailable"}
-        assert {e.attempt for e in health.events} == {1}
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert "Errno 11" in str(runtime[0].message)
@@ -175,9 +175,9 @@ class TestNoLeakedSegments:
         packed.assert_unlinked()
 
     def test_pack_failure_leaves_no_segment(self, grid, gallery, clean_serial, packed):
-        # A platform without /dev/shm cannot pack the arena: the process
-        # pool cannot start, and the run scores in-process, announced
-        # exactly once.
+        # A platform without /dev/shm cannot pack the arena: the service
+        # cannot start, and the run scores in-process, announced exactly
+        # once.
         from repro.obs.registry import MetricsRegistry
 
         packed.error = OSError("no /dev/shm")
@@ -187,7 +187,8 @@ class TestNoLeakedSegments:
             warnings.simplefilter("always")
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
-        assert wrapper.last_health.backends_used == ["serial"]
+        assert wrapper.last_health.reports == []
+        assert wrapper.last_health.degradations == ["process->serial"]
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert "from process workers to in-process scoring" in str(runtime[0].message)
@@ -199,14 +200,18 @@ class TestNoLeakedSegments:
         self, grid, gallery, packed
     ):
         # Without /dev/shm each shard's replicas get their gallery slice
-        # itself and score it exactly as the arena's views.
+        # itself, and a matrix's requests ship its rows, scored exactly as
+        # the arenas' views.
         packed.error = OSError("no /dev/shm")
         query = gallery[1]
         expected = STS(grid).similarity_block([query], gallery)[0]
         with ClusterService(STS(grid), gallery, n_shards=2, n_replicas=1) as svc:
             scores, report = svc.query_scores(query)
+            matrix, matrix_report = svc.pairwise(gallery[:2])
         assert report.ok and report.coverage == 1.0
         assert np.array_equal([scores[i] for i in range(len(gallery))], expected)
+        assert matrix_report.ok
+        assert np.array_equal(matrix, STS(grid).pairwise(gallery, queries=gallery[:2]))
         assert packed.attempts >= 1 and packed.names == []
 
 

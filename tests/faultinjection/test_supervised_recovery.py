@@ -1,18 +1,23 @@
 """Worker death, hangs, raised errors and corrupt scores all recover.
 
-The acceptance bar: after any injected fault the supervised run's final
-matrix is **bitwise-identical** to a clean serial run, and the
-:class:`~repro.parallel.supervisor.RunHealth` report says what happened.
+The acceptance bar: after any injected fault the final matrix is
+**bitwise-identical** to a clean serial run, and the
+:class:`~repro.parallel.MatrixHealth` report (with the
+:class:`~repro.cluster.ClusterReport` of every gather) says what
+happened.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 
+from repro.cluster import service as cluster_service
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS
-from repro.parallel.supervisor import MAX_RETRIES
 
 from .faults import FaultyMeasure
 
@@ -23,9 +28,13 @@ def _faulty(grid, kind, tmp_path, **kwargs):
     )
 
 
+def _events(health) -> list[str]:
+    return [event for report in health.reports for event in report.events]
+
+
 class AlwaysFails:
     """Raises on the target pair every single time (picklable, so the
-    process pool runs it and exhausts its retries)."""
+    shard workers run it and exhaust their gathers)."""
 
     name = "always-fails"
 
@@ -47,9 +56,11 @@ class TestWorkerDeath:
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
-        assert health.worker_crashes >= 1
         assert health.retries >= 1
+        assert sum(report.restarts for report in health.reports) >= 1
+        assert any("died mid-query" in event for event in _events(health))
         assert not health.ok
+        assert not health.degradations
         assert faulty.token.fired
 
     def test_clean_run_reports_healthy(self, grid, gallery, clean_serial):
@@ -57,19 +68,22 @@ class TestWorkerDeath:
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.ok
+        assert len(wrapper.last_health.reports) == 1
 
 
 class TestHang:
     def test_hung_worker_is_timed_out_killed_and_retried(
-        self, grid, gallery, clean_serial, tmp_path
+        self, grid, gallery, clean_serial, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(cluster_service, "REQUEST_TIMEOUT_S", 1.5)
         faulty = _faulty(grid, "hang", tmp_path, hang_seconds=60.0)
-        wrapper = ParallelSTS(faulty, n_jobs=2, chunk_timeout=1.5)
+        wrapper = ParallelSTS(faulty, n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
-        assert health.timeouts >= 1
-        assert any(e.kind == "timeout" for e in health.events)
+        assert health.retries >= 1
+        assert any("timed out" in event and "killed" in event for event in _events(health))
+        assert sum(report.restarts for report in health.reports) >= 1
 
 
 class TestRaisedError:
@@ -80,7 +94,7 @@ class TestRaisedError:
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
         assert health.retries >= 1
-        assert any(e.kind == "error" for e in health.events)
+        assert any("injected fault" in event for event in _events(health))
 
 
 class TestCorruptScore:
@@ -93,30 +107,48 @@ class TestCorruptScore:
         assert np.array_equal(out, clean_serial)
         assert np.isfinite(out).all()
         health = wrapper.last_health
-        assert health.corrupt_scores >= 1
-        assert any(e.kind == "corrupt-score" for e in health.events)
+        assert health.retries >= 1
+        assert any("non-finite" in event for event in health.events)
 
 
 class TestDegradationLadder:
-    def test_persistent_failure_degrades_and_skip_policy_fills_nan(
-        self, grid, gallery, tmp_path
-    ):
-        wrapper = ParallelSTS(AlwaysFails(STS(grid)), n_jobs=2, on_error="skip")
-        with pytest.warns(RuntimeWarning, match="in-process"):
-            out = wrapper.pairwise(gallery)
-        health = wrapper.last_health
-        # The pool ran and failed until its retries were spent.
-        assert health.rounds == MAX_RETRIES + 1
-        assert health.degradations == ["process->serial"]
-        assert health.skipped_pairs >= 1
-        # Only the poisoned pair is NaN; everything else was scored.
-        assert np.isnan(out[0, 3]) and np.isnan(out[3, 0])
-        mask = ~np.isnan(out)
-        assert mask.sum() == out.size - 2
-        assert np.isfinite(out[mask]).all()
-
     def test_persistent_failure_raises_by_default(self, grid, gallery, tmp_path):
         wrapper = ParallelSTS(AlwaysFails(STS(grid)), n_jobs=2)
         with pytest.warns(RuntimeWarning, match="in-process"):
             with pytest.raises(RuntimeError, match="permanent fault"):
                 wrapper.pairwise(gallery)
+        health = wrapper.last_health
+        # Every gather failed on the poisoned block before the step down:
+        # the first and max_restarts more.
+        max_restarts = inspect.signature(cluster_service.ClusterService).parameters[
+            "max_restarts"
+        ].default
+        assert health.retries == max_restarts
+        assert len(health.reports) == health.retries + 1
+        assert health.degradations == ["process->serial"]
+
+
+class TestDeadline:
+    def test_deadline_sheds_unscored_blocks_and_journals_none(
+        self, grid, gallery, clean_serial, tmp_path
+    ):
+        journal = tmp_path / "pairwise.json"
+        faulty = _faulty(grid, "hang", tmp_path, hang_seconds=60.0)
+        wrapper = ParallelSTS(faulty, n_jobs=2)
+        out = wrapper.pairwise(gallery, checkpoint=journal, deadline=1.5)
+        health = wrapper.last_health
+        assert health.deadline_expired and not health.degradations
+        shed = np.isnan(out)
+        assert shed.any() and not shed.all()
+        assert np.array_equal(shed, shed.T)
+        assert np.array_equal(out[~shed], clean_serial[~shed])
+        journaled = json.loads(journal.read_text())["chunks"]
+        assert 0 < len(journaled) < health.n_chunks
+        assert all(np.isfinite(s) for triples in journaled.values() for _i, _j, s in triples)
+
+        # An unbounded rerun on the journal scores exactly what was shed
+        # (the fault fired once; the measure is healthy now).
+        rerun = ParallelSTS(faulty, n_jobs=2)
+        again = rerun.pairwise(gallery, checkpoint=journal)
+        assert np.array_equal(again, clean_serial)
+        assert rerun.last_health.resumed_chunks == len(journaled)

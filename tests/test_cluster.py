@@ -243,6 +243,69 @@ class TestClusterMatcher:
 
 
 # ----------------------------------------------------------------------
+# Block requests: one request per shard, one kernel block per entry
+# ----------------------------------------------------------------------
+class TestBlockRequests:
+    def test_pairwise_sends_one_request_per_shard(self):
+        grid = Grid(0, 0, 40, 20, cell_size=2.0)
+        gallery = make_gallery(7, seed=9)
+        queries = make_gallery(4, seed=31)
+        registry = MetricsRegistry()
+        with ClusterService(
+            STS(grid), gallery, n_shards=3, n_replicas=1, registry=registry
+        ) as svc:
+            matrix, report = svc.pairwise(queries)
+            shards = sum(1 for members in svc.shard_globals if members)
+        assert report.ok and report.shards_total == shards
+        assert registry.value("repro_cluster_shard_calls_total") == {"": shards}
+        assert np.array_equal(matrix, STS(grid).pairwise(gallery, queries))
+
+    def test_score_blocks_answers_self_and_cross_blocks_bitwise(self):
+        grid = Grid(0, 0, 40, 20, cell_size=2.0)
+        gallery = make_gallery(6, seed=12)
+        rows = make_gallery(3, seed=40)
+        serial = STS(grid)
+        with ClusterService(STS(grid), gallery, n_shards=1, n_replicas=1) as svc:
+            # Rows shipped in the request, as a query is.
+            answers, report = svc.score_blocks(
+                rows, {0: [(None, [1, 4, 5]), ((2, 0), [0, 3])]}
+            )
+        assert report.ok
+        self_block, cross = answers[0]
+        members = svc.shard_globals[0]
+        self_cols = [gallery[members[c]] for c in (1, 4, 5)]
+        assert np.array_equal(self_block, serial.similarity_block(self_cols))
+        assert np.array_equal(
+            cross,
+            serial.similarity_block(
+                [rows[2], rows[0]], [gallery[members[c]] for c in (0, 3)]
+            ),
+        )
+
+    def test_hung_replica_is_killed_and_restarted_by_the_next_call(self, monkeypatch):
+        from repro.cluster import service as cluster_service
+
+        monkeypatch.setattr(cluster_service, "REQUEST_TIMEOUT_S", 0.5)
+        grid = Grid(0, 0, 40, 20, cell_size=2.0)
+        gallery = make_gallery(4, seed=2)
+        query = make_gallery(1, seed=5)[0]
+        expected = STS(grid).similarity_block([query], gallery)[0].tolist()
+        with ClusterService(
+            STS(grid), gallery, n_shards=1, n_replicas=1,
+            worker_faults={(0, 0): {"delay_s": 60.0}},
+        ) as svc:
+            scores, report = svc.query_scores(query)
+            assert scores == {} and report.shards_skipped == (0,)
+            assert any("killed" in event for event in report.events)
+            assert svc.replica_pids() == {(0, 0): None}
+            # The replacement is clean: faults apply to the first
+            # incarnation only.
+            scores, report = svc.query_scores(query)
+        assert report.restarts == 1 and report.coverage == 1.0
+        assert [scores[i] for i in range(len(gallery))] == expected
+
+
+# ----------------------------------------------------------------------
 # Nested-parallelism guard
 # ----------------------------------------------------------------------
 class TestNestedParallelismGuard:

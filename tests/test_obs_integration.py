@@ -174,9 +174,15 @@ class TestParallelMetrics:
         wrapper.pairwise(corpus.trajectories[:4])
         health = wrapper.last_health
         assert health.metrics is not None
-        chunks = health.metrics["counters"]["repro_supervisor_chunks_total"]
-        assert chunks['event="queued"'] > 0
-        assert chunks['event="completed"'] == chunks['event="queued"']
+        counters = health.metrics["counters"]
+        # One request per shard, none skipped...
+        shards = health.reports[0].shards_total
+        assert counters["repro_cluster_shard_calls_total"][""] == shards >= 1
+        assert counters["repro_cluster_shard_skipped_total"][""] == 0
+        # ...and every pair scored on a worker, credited to the fleet.
+        calls = counters["repro_sts_similarity_calls_total"]
+        assert calls.get("", 0) == 0
+        assert sum(v for k, v in calls.items() if 'process="worker"' in k) == 10
         assert health.metrics["histograms"]["repro_pairwise_seconds"][""]["count"] == 1
 
     def test_pairwise_seconds_covers_the_whole_call(
@@ -212,18 +218,21 @@ class TestParallelMetrics:
         parents = [r for r in fresh_tracer.roots() if r.name == "parallel.pairwise"]
         assert len(parents) == 1
         parent = parents[0]
-        # ...and each worker's chunk subtree comes home stitched under it.
-        chunk_spans = [c for c in parent.children if c.name == "parallel.worker-chunk"]
-        assert len(chunk_spans) == parent.attrs["chunks"]
-        assert all(s.wall_s >= 0.0 for s in chunk_spans)
+        # ...its one gather nests under it, a dispatch per shard...
+        (gather,) = [c for c in parent.children if c.name == "cluster.query"]
+        dispatches = [c for c in gather.children if c.name == "cluster.dispatch"]
+        assert len(dispatches) == wrapper.last_health.reports[0].shards_total
+        # ...and each worker's scoring subtree comes home stitched under it.
         assert all(
-            [c.name for c in s.children] == ["parallel.chunk"] for s in chunk_spans
+            [c.name for c in d.children] == ["cluster.worker.score"] for d in dispatches
         )
-        assert os.getpid() not in {s.attrs["worker_pid"] for s in chunk_spans}
         events = fresh_tracer.to_chrome_trace()
         assert {
-            "parallel.pairwise", "parallel.worker-chunk", "parallel.chunk"
+            "parallel.pairwise", "cluster.query", "cluster.dispatch",
+            "cluster.worker.score", "sts.block",
         } <= {e["name"] for e in events}
+        worker_pids = {e["pid"] for e in events if e["name"] == "cluster.worker.score"}
+        assert worker_pids and os.getpid() not in worker_pids
         json.dumps(events)
 
 

@@ -1,12 +1,13 @@
 """Tests for the parallel pairwise scoring package (:mod:`repro.parallel`).
 
 The contract under test: the parallel matrix equals the serial one to the
-last bit (same scoring code per entry, deterministic assembly), on
-process workers and in-process, for any worker count, and both the
-symmetric and query-vs-gallery shapes.
+last bit (same scoring code per entry, deterministic assembly), on shard
+workers and in-process, for any worker count, and both the symmetric and
+query-vs-gallery shapes.
 """
 
 import gc
+import multiprocessing
 import os
 import warnings
 import weakref
@@ -18,7 +19,7 @@ from repro.core.grid import Grid
 from repro.core.sts import STS
 from repro.core.trajectory import Trajectory
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import ParallelSTS, chunk_pairs, resolve_n_jobs
+from repro.parallel import ParallelSTS, resolve_n_jobs
 
 
 @pytest.fixture
@@ -32,6 +33,15 @@ def _unpicklable_sts(grid):
     from repro.core.transition import SpeedTransitionModel
 
     return STS(grid, transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)))
+
+
+@pytest.fixture
+def spawn_only(monkeypatch):
+    """A platform that cannot fork: shard workers start by spawn, which
+    pickles the measure before any process starts."""
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
 
 
 @pytest.fixture
@@ -92,34 +102,29 @@ class TestResolveNJobs:
             resolve_n_jobs(0)
 
 
-class TestChunkPairs:
-    def test_partitions_without_loss_or_duplication(self):
-        pairs = [(i, j) for i in range(7) for j in range(i, 7)]
-        chunks = chunk_pairs(pairs, n_workers=3)
-        flat = [p for chunk in chunks for p in chunk]
-        assert sorted(flat) == sorted(pairs)
-        assert all(chunk for chunk in chunks)
-
-    def test_chunk_count_bounded_by_pairs(self):
-        pairs = [(0, 0), (0, 1), (1, 1)]
-        chunks = chunk_pairs(pairs, n_workers=8, chunks_per_worker=4)
-        assert len(chunks) == len(pairs)
-
-    def test_interleaved_assignment(self):
-        pairs = list(enumerate(range(8)))
-        chunks = chunk_pairs(pairs, n_workers=1, chunks_per_worker=2)
-        assert chunks == [pairs[0::2], pairs[1::2]]
-
-    def test_empty(self):
-        assert chunk_pairs([], n_workers=4) == []
-
-
 class TestParallelMatchesSerial:
     def test_process_backend_symmetric(self, grid, gallery):
         serial = STS(grid).pairwise(gallery)
-        parallel = STS(grid).pairwise(gallery, n_jobs=2)
-        assert abs(parallel - serial).max() <= 1e-12
-        assert np.array_equal(parallel, parallel.T)
+        for n_jobs in (2, 3):
+            parallel = STS(grid).pairwise(gallery, n_jobs=n_jobs)
+            assert np.array_equal(parallel, serial)
+            assert np.array_equal(parallel, parallel.T)
+
+    def test_self_plan_scores_each_pair_once_with_balanced_shards(self):
+        from repro.parallel.sts import _shard_plan
+
+        members = [[0, 3, 5, 6], [1, 4, 7], [2, 8, 9, 10, 11]]
+        counts = {}
+        per_shard = [0, 0, 0]
+        for shard, rows, local in _shard_plan(members, 12, symmetric=True):
+            cols = [members[shard][c] for c in local]
+            for a, i in enumerate(cols if rows is None else rows):
+                for j in cols[a if rows is None else 0:]:
+                    pair = (min(i, j), max(i, j))
+                    counts[pair] = counts.get(pair, 0) + 1
+                    per_shard[shard] += 1
+        assert counts == {(i, j): 1 for i in range(12) for j in range(i, 12)}
+        assert max(per_shard) <= 1.5 * min(per_shard)
 
     def test_n_jobs_one_delegates_to_serial(self, grid, gallery):
         measure = STS(grid)
@@ -140,17 +145,23 @@ class TestParallelMatchesSerial:
 
 class TestBackendSelection:
     def test_invalid_backend_rejected(self, grid, gallery):
-        # The ladder is fixed (process workers, then the calling process)
-        # and its retry policy is a module constant: none is a parameter.
+        # The engine is fixed (shard workers, then the calling process)
+        # and its recovery policy is the service's: none is a parameter.
         with pytest.raises(TypeError, match="backend"):
             STS(grid).pairwise(gallery, n_jobs=2, backend="thread")
-        for setting in ({"backend": "auto"}, {"max_retries": 3}, {"backoff_base": 0.0}):
+        for setting in (
+            {"backend": "auto"},
+            {"max_retries": 3},
+            {"backoff_base": 0.0},
+            {"chunk_timeout": 1.0},
+            {"on_error": "skip"},
+        ):
             with pytest.raises(TypeError, match=next(iter(setting))):
                 ParallelSTS(STS(grid), n_jobs=2, **setting)
 
-    def test_unpicklable_measure_scores_in_process(self, grid, gallery):
-        # A closure-based transition policy cannot cross a process
-        # boundary; STS.pairwise(n_jobs=2) scores in-process instead, bitwise.
+    def test_unpicklable_measure_scores_in_process(self, grid, gallery, spawn_only):
+        # A closure-based transition policy cannot cross a spawn boundary;
+        # STS.pairwise(n_jobs=2) scores in-process instead, bitwise.
         measure = _unpicklable_sts(grid)
         serial = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
@@ -159,11 +170,24 @@ class TestBackendSelection:
             parallel = measure.pairwise(gallery, n_jobs=2)
         assert np.array_equal(parallel, serial)
 
+    def test_unpicklable_measure_scores_on_forked_workers(self, grid, gallery):
+        # Forked shard workers inherit the measure: nothing is pickled.
+        measure = _unpicklable_sts(grid)
+        serial = np.array(
+            [[measure.similarity(a, b) for b in gallery] for a in gallery]
+        )
+        wrapper = ParallelSTS(measure, n_jobs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            parallel = wrapper.pairwise(gallery)
+        assert np.array_equal(parallel, serial)
+        assert wrapper.last_health.ok and wrapper.last_health.reports
+
     def test_process_backend_degrades_for_unpicklable_measure_supervised(
-        self, grid, gallery
+        self, grid, gallery, spawn_only
     ):
-        # The supervised executor steps down from process workers to
-        # in-process scoring instead of failing, and records the step.
+        # The engine steps down from shard workers to in-process scoring
+        # instead of failing, and records the step.
         measure = _unpicklable_sts(grid)
         serial = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
@@ -173,42 +197,44 @@ class TestBackendSelection:
             parallel = wrapper.pairwise(gallery)
         assert np.array_equal(parallel, serial)
         assert wrapper.last_health is not None
-        assert wrapper.last_health.degradations
-        assert "process" not in wrapper.last_health.backends_used
+        assert wrapper.last_health.degradations == ["process->serial"]
+        assert wrapper.last_health.reports == []
 
-    def test_pool_that_cannot_start_is_not_a_retry(self, grid, gallery):
-        # Nothing was dispatched: no round, no retry, no attempt spent —
-        # only the backend-unavailable events and the one step down.
+    def test_pool_that_cannot_start_is_not_a_retry(self, grid, gallery, spawn_only):
+        # Nothing was dispatched: no gather, no retry — only the one step
+        # down, counted once as a backend that was unavailable.
         registry = MetricsRegistry()
         wrapper = ParallelSTS(_unpicklable_sts(grid), n_jobs=2, registry=registry)
         with pytest.warns(RuntimeWarning, match="in-process"):
             wrapper.pairwise(gallery)
         health = wrapper.last_health
-        assert health.n_chunks == 10
-        assert health.rounds == 0
+        assert health.n_chunks >= 2
         assert health.retries == 0
+        assert health.reports == []
         assert health.degradations == ["process->serial"]
-        assert health.backends_used == ["serial"]
-        assert [e.kind for e in health.events] == ["backend-unavailable"] * 10
-        assert {e.attempt for e in health.events} == {1}
-        chunks = registry.snapshot()["counters"]["repro_supervisor_chunks_total"]
-        assert chunks.get('event="retried"', 0) == 0
-        assert chunks['event="completed"'] == 10
+        counters = registry.snapshot()["counters"]
+        assert counters["repro_parallel_shm_fallback_total"] == {
+            'reason="backend-unavailable"': 1.0
+        }
+        assert sum(counters["repro_cluster_shard_calls_total"].values()) == 0
 
 
 class TestInProcessScoringKeepsNoState:
-    """In-process scoring leaves nothing of the call in module state."""
+    """In-process scoring leaves nothing of the call behind."""
 
-    @pytest.mark.parametrize("path", ["checkpoint", "unpicklable-fallback"])
-    def test_measure_released_after_the_call(self, grid, gallery, tmp_path, path):
-        from repro.parallel import pool
-
+    @pytest.mark.parametrize("path", ["checkpoint", "unpicklable-fallback", "workers"])
+    def test_measure_released_after_the_call(self, grid, gallery, tmp_path, path, monkeypatch):
+        call = {}
         if path == "checkpoint":
             measure, n_jobs = STS(grid), 1
             call = {"checkpoint": str(tmp_path / "pairwise.ckpt")}
-        else:
+        elif path == "unpicklable-fallback":
+            spawn = multiprocessing.get_context("spawn")
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
             measure, n_jobs = _unpicklable_sts(grid), 2
-            call = {}
+        else:
+            measure, n_jobs = STS(grid), 2
         alive = weakref.ref(measure)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -217,4 +243,3 @@ class TestInProcessScoringKeepsNoState:
         del measure
         gc.collect()
         assert alive() is None
-        assert pool._WORKER_STATE == {}

@@ -104,7 +104,7 @@ class TestParallelShmParity:
             warnings.simplefilter("error", RuntimeWarning)
             out = wrapper.pairwise(gallery)
         assert np.array_equal(serial, out)
-        assert wrapper.last_health.backends_used == ["process"]
+        assert wrapper.last_health.ok and wrapper.last_health.reports
 
     def test_query_vs_gallery_shape(self, grid, gallery):
         serial = STS(grid).pairwise(gallery[:3], queries=gallery[3:])
@@ -115,7 +115,7 @@ class TestParallelShmParity:
 
     def test_no_arena_packed_for_single_worker(self, grid, gallery, monkeypatch):
         # n_jobs=1 scores in-process even when a deadline forces the
-        # supervised path; packing an arena there would be pure waste,
+        # block-by-block path; packing an arena there would be pure waste,
         # never attached by anyone.
         packed = []
         monkeypatch.setattr(
@@ -128,11 +128,18 @@ class TestParallelShmParity:
 
 
 class TestFallbackAnnouncement:
-    def test_unpicklable_measure_warns_and_counts(self, grid, gallery):
+    def test_unpicklable_measure_warns_and_counts(self, grid, gallery, monkeypatch):
+        # On a platform without fork, shard workers start by spawn, which
+        # must pickle the measure: a closure policy keeps it in-process.
+        import multiprocessing
+
         from repro.core.speed import GaussianSpeedModel
         from repro.core.transition import SpeedTransitionModel
         from repro.obs.registry import MetricsRegistry
 
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
         measure = STS(
             grid,
             transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)),
@@ -154,33 +161,49 @@ class TestFallbackAnnouncement:
 
 class TestCheckpointFingerprint:
     def test_chunking_policy_is_part_of_the_fingerprint(self, grid, gallery, tmp_path):
-        # The one block plan deals indices by count, as the default plan
-        # always did: a journal written by it resumes, while a journal of
-        # the retired cost-balanced plan is refused.
+        # The journal names the shard plan and its placement: a journal it
+        # wrote resumes, while one of the retired round-robin block plan
+        # is refused, even where its counts match.
         import json
 
+        from repro.cluster.plan import ShardPlan, gallery_keys
         from repro.errors import CheckpointError
+        from repro.parallel.sts import _shard_plan
 
         path = tmp_path / "pairwise.ckpt"
         ParallelSTS(STS(grid), n_jobs=2).pairwise(gallery, checkpoint=str(path))
         journal = json.loads(path.read_text())
+        placement = ShardPlan(2, 1)
+        keys = gallery_keys(gallery)
+        n_blocks = len(_shard_plan(placement.assign(keys), 4, symmetric=True))
         assert journal["fingerprint"] == {
+            "kind": "pairwise",
+            "plan": "shards",
+            "placement": placement.fingerprint(keys),
+            "measure": STS(grid).name,
+            "n_rows": 4,
+            "n_cols": 4,
+            "n_pairs": 10,
+            "n_chunks": n_blocks,
+            "symmetric": True,
+        }
+        assert len(journal["chunks"]) == n_blocks
+        resumed = ParallelSTS(STS(grid), n_jobs=2)
+        out = resumed.pairwise(gallery, checkpoint=str(path))
+        assert resumed.last_health.resumed_chunks == resumed.last_health.n_chunks == n_blocks
+        assert np.array_equal(out, STS(grid).pairwise(gallery))
+
+        journal["fingerprint"] = {
             "kind": "pairwise",
             "plan": "blocks",
             "measure": STS(grid).name,
             "n_rows": 4,
             "n_cols": 4,
             "n_pairs": 10,
-            "n_chunks": 10,
+            "n_chunks": n_blocks,
             "symmetric": True,
             "chunking": "count",
         }
-        resumed = ParallelSTS(STS(grid), n_jobs=2)
-        out = resumed.pairwise(gallery, checkpoint=str(path))
-        assert resumed.last_health.resumed_chunks == resumed.last_health.n_chunks == 10
-        assert np.array_equal(out, STS(grid).pairwise(gallery))
-
-        journal["fingerprint"]["chunking"] = "cost"
         path.write_text(json.dumps(journal))
         with pytest.raises(CheckpointError, match="different run"):
             ParallelSTS(STS(grid), n_jobs=2).pairwise(gallery, checkpoint=str(path))
@@ -188,7 +211,8 @@ class TestCheckpointFingerprint:
     def test_journal_of_pair_list_chunks_is_refused(self, grid, gallery, tmp_path):
         # A journal whose chunks were pair lists has the same counts as a
         # block plan but no "plan" entry; resuming it would read its chunk
-        # k as block k.
+        # k as block k.  In-process (n_jobs=1) the blocks are the kernel's
+        # sub-blocks.
         import json
 
         from repro.errors import CheckpointError
@@ -196,7 +220,7 @@ class TestCheckpointFingerprint:
         path = tmp_path / "pairwise.ckpt"
         ParallelSTS(STS(grid), n_jobs=1).pairwise(gallery, checkpoint=str(path))
         journal = json.loads(path.read_text())
-        assert journal["fingerprint"].pop("plan") == "blocks"
+        assert journal["fingerprint"].pop("plan") == "sub-blocks"
         path.write_text(json.dumps(journal))
         with pytest.raises(CheckpointError, match="different run"):
             ParallelSTS(STS(grid), n_jobs=1).pairwise(gallery, checkpoint=str(path))

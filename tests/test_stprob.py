@@ -313,6 +313,19 @@ class TestCacheStats:
         assert results["misses"] >= 1
         assert results["evictions"] == 0
 
+    def test_kernel_counters_count_kernel_lookups_only(self, grid, walker):
+        # Canvas lattices have their own memo, so the kernel counters see
+        # one miss per distinct (gap, canvas) of a call whose gaps are all
+        # new — 1, 1.5, 2.5 and 3 s here, each with its own canvas — and a
+        # later call on the same gaps sees only hits.
+        stp = make_stp(walker, grid)
+        stp.stp_batch(np.array([1.0, 2.5, 5.0, 9.5]))
+        kernels = stp.cache_stats()["kernels"]
+        assert (kernels["misses"], kernels["hits"], kernels["size"]) == (4, 0, 4)
+        stp.stp_batch(np.array([13.0, 18.5]))  # gaps 1 and 3, then 2.5 and 1.5
+        kernels = stp.cache_stats()["kernels"]
+        assert (kernels["misses"], kernels["hits"], kernels["size"]) == (4, 4, 4)
+
 
 class TestFFTChunks:
     """Bridged times of one call share FFT round trips across segments."""
