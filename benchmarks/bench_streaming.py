@@ -19,7 +19,10 @@ Two ways to run it:
   the WAL-on *pipeline* at the default batch size
   (``fsync_every=64``, automatic snapshots on) is more than ``PCT``
   percent slower end-to-end than WAL-off (the CI regression guard; 15%
-  by default).
+  by default).  The pipeline is warmed up once, then run WAL off and on
+  alternately for :data:`PIPELINE_PAIRS` pairs, and the guard compares
+  the medians: the first run of a process pays cold caches and
+  allocator growth worth more than the WAL.
 
   The guard is deliberately end-to-end: a bare in-memory ingest is ~2 µs,
   so *any* durable journaling — encode, buffer, amortized fsync — is
@@ -56,6 +59,8 @@ AREA = (100.0, 60.0)  # mall-sized; positions bounce off the walls
 #: overhead guard pins (bounded staleness of at most 63 tail records).
 FSYNC_SWEEP = (1, 8, 64)
 DEFAULT_FSYNC_BATCH = 64
+#: WAL-off/WAL-on pipeline pairs, alternating which runs first.
+PIPELINE_PAIRS = 3
 
 
 def make_events(seed: int = 5) -> list[SightingEvent]:
@@ -272,13 +277,23 @@ def main() -> int:
                     fsync_every=batch,
                 )
             )
-        print(f"pipeline: {epochs_n} epochs (offer + evaluate), WAL off ...")
-        pipe_off = pipeline_run(epochs, wal_dir=None)
-        print(
-            f"pipeline: {epochs_n} epochs, WAL on, "
-            f"fsync_every={DEFAULT_FSYNC_BATCH}, snapshots on ..."
-        )
-        pipe_on = pipeline_run(epochs, wal_dir=Path(scratch) / "pipeline")
+        print(f"pipeline: {epochs_n} epochs (offer + evaluate), warm-up ...")
+        pipeline_run(epochs, wal_dir=None)
+        pipes: dict[bool, list[dict]] = {False: [], True: []}
+        for k in range(PIPELINE_PAIRS):
+            for wal_on in (k % 2 == 1, k % 2 == 0):
+                print(
+                    f"pipeline: {epochs_n} epochs, pair {k + 1}/{PIPELINE_PAIRS}, "
+                    + (f"WAL on, fsync_every={DEFAULT_FSYNC_BATCH}, snapshots on ..."
+                       if wal_on else "WAL off ...")
+                )
+                wal_dir = Path(scratch) / f"pipeline-{k}" if wal_on else None
+                pipes[wal_on].append(pipeline_run(epochs, wal_dir=wal_dir))
+    # The run of median total time on each side (PIPELINE_PAIRS is odd).
+    pipe_off, pipe_on = (
+        sorted(runs, key=lambda run: run["total_s"])[len(runs) // 2]
+        for runs in (pipes[False], pipes[True])
+    )
     overhead_pct = 100.0 * (pipe_on["total_s"] / pipe_off["total_s"] - 1.0)
 
     payload = {
@@ -287,8 +302,13 @@ def main() -> int:
         "epochs": epochs_n,
         "ingest_wal_off": off,
         "ingest_wal_on": runs,
+        "pipeline_pairs": PIPELINE_PAIRS,
         "pipeline_wal_off": pipe_off,
         "pipeline_wal_on": pipe_on,
+        "pipeline_total_s": {
+            "wal_off": [run["total_s"] for run in pipes[False]],
+            "wal_on": [run["total_s"] for run in pipes[True]],
+        },
         "default_fsync_every": DEFAULT_FSYNC_BATCH,
         "wal_pipeline_overhead_pct": overhead_pct,
     }
@@ -305,12 +325,12 @@ def main() -> int:
             f"({run['events_per_s']:.0f} ev/s)"
         )
     print(
-        f"  pipeline, WAL off: {pipe_off['total_s']:.3f} s "
-        f"(tick p50 {pipe_off['tick_p50_ms']:.1f} ms)"
+        f"  pipeline, WAL off: median {pipe_off['total_s']:.3f} s "
+        f"(tick p50 {pipe_off['tick_p50_ms']:.1f} ms) of {PIPELINE_PAIRS}"
     )
     print(
-        f"  pipeline, WAL on:  {pipe_on['total_s']:.3f} s "
-        f"(tick p50 {pipe_on['tick_p50_ms']:.1f} ms)"
+        f"  pipeline, WAL on:  median {pipe_on['total_s']:.3f} s "
+        f"(tick p50 {pipe_on['tick_p50_ms']:.1f} ms) of {PIPELINE_PAIRS}"
     )
     print(f"  WAL pipeline overhead: {overhead_pct:+.1f}%")
 

@@ -27,7 +27,6 @@ Public API highlights:
 
 from .errors import (
     CheckpointError,
-    ChunkTimeoutError,
     DegenerateTrajectoryError,
     MalformedRecordError,
     ReproError,
@@ -35,7 +34,6 @@ from .errors import (
     WALCorruptionError,
     WALError,
     WALWriteError,
-    WorkerCrashError,
 )
 from .core import (
     STS,
@@ -103,8 +101,6 @@ __all__ = [
     "ReproError",
     "MalformedRecordError",
     "DegenerateTrajectoryError",
-    "WorkerCrashError",
-    "ChunkTimeoutError",
     "ScoreCorruptionError",
     "CheckpointError",
     "WALError",

@@ -253,7 +253,8 @@ class ClusterService:
     Parameters
     ----------
     measure:
-        The similarity measure; must pickle (workers are processes).
+        The similarity measure.  Forked workers inherit it; where the
+        platform cannot fork it must pickle.
     gallery:
         The trajectory corpus to shard.  The service is *bound* to these
         objects: queries score against the packed copies, and
@@ -393,6 +394,9 @@ class ClusterService:
                     handle = _Replica(shard, r)
                     self._replicas[(shard, r)] = handle
                     self._spawn(handle, config=self._worker_faults.get((shard, r)))
+            # Workers start concurrently: all are forked before any is awaited.
+            for handle in self._replicas.values():
+                self._await_ready(handle)
         except BaseException:
             self.close()
             raise
@@ -436,12 +440,18 @@ class ClusterService:
             child_conn.close()
         handle.process = process
         handle.conn = parent_conn
-        # Wait briefly for the ready handshake so a query issued right
-        # after construction doesn't race worker startup; a worker that
-        # dies before readiness is caught on first dispatch instead.
-        if parent_conn.poll(5.0):
+
+    @staticmethod
+    def _await_ready(handle: _Replica) -> None:
+        """Wait briefly for a started worker's ready handshake.
+
+        So a query issued right after a start doesn't race worker
+        startup; a worker that dies before readiness is caught on first
+        dispatch instead.
+        """
+        if handle.conn.poll(5.0):
             try:
-                parent_conn.recv()  # ("ready", pid)
+                handle.conn.recv()  # ("ready", pid)
             except (EOFError, OSError):
                 pass
 
@@ -471,6 +481,7 @@ class ClusterService:
         # chaos harness kills a worker once, and the replacement is clean.
         try:
             self._spawn(handle, config=None)
+            self._await_ready(handle)
         except OSError as exc:  # e.g. out of process ids
             report.events.append(
                 f"could not restart shard {handle.shard} replica {handle.replica}: {exc}"

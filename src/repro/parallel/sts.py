@@ -91,16 +91,6 @@ class MatrixHealth:
             and all(report.ok for report in self.reports)
         )
 
-    def summary(self) -> str:
-        """One-line human summary of the call's health."""
-        if self.ok:
-            return f"healthy: {self.n_chunks} blocks, no incidents"
-        return (
-            f"recovered: {self.n_chunks} blocks, {self.retries} retries, "
-            f"degradations {self.degradations or 'none'}"
-            + (", deadline EXPIRED" if self.deadline_expired else "")
-        )
-
 
 def _shard_plan(members: list[list[int]], n_rows: int, symmetric: bool) -> list[tuple]:
     """The blocks ``(shard, row indices | None, local columns)`` of a call.
