@@ -182,13 +182,13 @@ class _Call:
                     self.out[j, i] = score
 
     def shed(self, ks: Sequence[int]) -> None:
-        """NaN-fill blocks left unscored at the deadline; never journaled."""
+        """NaN-fill blocks a deadlined call left unscored; never journaled."""
         for k in ks:
             rows, cols = self.cells(k)
             self.out[np.ix_(rows, cols)] = np.nan
             if self.symmetric:
                 self.out[np.ix_(cols, rows)] = np.nan
-            self.health.events.append(f"block {k} shed at the deadline")
+            self.health.events.append(f"block {k} shed (NaN) under the deadline")
 
 
 class ParallelSTS:
