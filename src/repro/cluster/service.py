@@ -75,6 +75,7 @@ from ..obs import (
 from ..serving.breaker import CircuitBreaker
 from ..serving.budget import Budget
 from .plan import ShardPlan, gallery_keys
+from .worker import block_pairs, worker_main
 
 __all__ = ["ClusterReport", "ClusterService"]
 
@@ -406,8 +407,6 @@ class ClusterService:
     # ------------------------------------------------------------------
     def _spawn(self, handle: _Replica, config: dict | None = None) -> None:
         """Start (or restart) one worker, re-attaching the shard arena."""
-        from .worker import worker_main
-
         config = dict(config or {})
         if self._log_dir:
             os.makedirs(self._log_dir, exist_ok=True)
@@ -550,10 +549,7 @@ class ClusterService:
                     "shard": sc.shard,
                     "replica": handle.replica,
                     "hedge": is_hedge,
-                    "pairs": sum(
-                        len(cols) * (len(cols) if r is None else len(r))
-                        for r, cols in sc.blocks
-                    ),
+                    "pairs": block_pairs(sc.blocks),
                 },
                 time.perf_counter(),
                 threading.get_ident(),

@@ -58,7 +58,8 @@ pid, level, shard/replica ids — see :mod:`repro.obs.logs`), written to
 stderr, never into the stdout that carries the parent's results, or,
 when ``config["log_path"]`` is set (the ``REPRO_CLUSTER_LOG_DIR``
 redirect), to the per-replica log file; the start-up ``ready`` record
-goes to that file only.  ``repro obs logs <dir>`` merges and pretty-prints a directory of them.
+goes to that file only.  ``repro obs logs <dir>`` merges and
+pretty-prints a directory of them.
 
 Test hooks (the chaos harness's fault injection) ride in the ``config``
 dict: ``delay_s`` sleeps before answering each score request (a slow
@@ -75,7 +76,15 @@ import sys
 import time
 import traceback
 
-__all__ = ["worker_main"]
+__all__ = ["block_pairs", "worker_main"]
+
+
+def block_pairs(blocks) -> int:
+    """Pairs a request's ``(row_indices | None, local_cols)`` blocks score."""
+    return sum(
+        len(cols) * (len(cols) + 1) // 2 if rows is None else len(rows) * len(cols)
+        for rows, cols in blocks
+    )
 
 
 def _child_process_count() -> int:
@@ -254,11 +263,11 @@ def worker_main(
                 continue
             try:
                 if obs_enabled():
-                    pairs = sum(
-                        len(cols) * (len(cols) if r is None else len(r)) for r, cols in blocks
-                    )
                     with tracer.span(
-                        "cluster.worker.score", shard=shard, replica=replica, pairs=pairs
+                        "cluster.worker.score",
+                        shard=shard,
+                        replica=replica,
+                        pairs=block_pairs(blocks),
                     ) as span:
                         scores = score(rows, blocks)
                     telemetry = {

@@ -157,12 +157,17 @@ class _Call:
             return similarity_block(self.measure, cols)
         return similarity_block(self.measure, [self.rows[i] for i in rows], cols)
 
+    def _fill(self, k: int, values) -> tuple[list[int], list[int]]:
+        """Write ``values`` over block ``k``'s cells (and their mirror)."""
+        rows, cols = self.cells(k)
+        self.out[np.ix_(rows, cols)] = values
+        if self.symmetric:
+            self.out[np.ix_(cols, rows)] = np.transpose(values)
+        return rows, cols
+
     def store(self, k: int, scores: np.ndarray) -> None:
         """Write block ``k`` into the matrix and journal it."""
-        rows, cols = self.cells(k)
-        self.out[np.ix_(rows, cols)] = scores
-        if self.symmetric:
-            self.out[np.ix_(cols, rows)] = scores.T
+        rows, cols = self._fill(k, scores)
         if self.ckpt is not None:
             self.ckpt.record(
                 k,
@@ -184,10 +189,7 @@ class _Call:
     def shed(self, ks: Sequence[int]) -> None:
         """NaN-fill blocks a deadlined call left unscored; never journaled."""
         for k in ks:
-            rows, cols = self.cells(k)
-            self.out[np.ix_(rows, cols)] = np.nan
-            if self.symmetric:
-                self.out[np.ix_(cols, rows)] = np.nan
+            self._fill(k, np.nan)
             self.health.events.append(f"block {k} shed (NaN) under the deadline")
 
 

@@ -170,6 +170,9 @@ class TestBackendSelection:
             parallel = measure.pairwise(gallery, n_jobs=2)
         assert np.array_equal(parallel, serial)
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
     def test_unpicklable_measure_scores_on_forked_workers(self, grid, gallery):
         # Forked shard workers inherit the measure: nothing is pickled.
         measure = _unpicklable_sts(grid)
@@ -223,15 +226,13 @@ class TestInProcessScoringKeepsNoState:
     """In-process scoring leaves nothing of the call behind."""
 
     @pytest.mark.parametrize("path", ["checkpoint", "unpicklable-fallback", "workers"])
-    def test_measure_released_after_the_call(self, grid, gallery, tmp_path, path, monkeypatch):
+    def test_measure_released_after_the_call(self, grid, gallery, tmp_path, path, request):
         call = {}
         if path == "checkpoint":
             measure, n_jobs = STS(grid), 1
             call = {"checkpoint": str(tmp_path / "pairwise.ckpt")}
         elif path == "unpicklable-fallback":
-            spawn = multiprocessing.get_context("spawn")
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-            monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+            request.getfixturevalue("spawn_only")
             measure, n_jobs = _unpicklable_sts(grid), 2
         else:
             measure, n_jobs = STS(grid), 2
