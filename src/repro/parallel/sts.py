@@ -293,8 +293,6 @@ class ParallelSTS:
         n_pairs = len(rows) * (len(rows) + 1) // 2 if symmetric else len(rows) * len(gallery)
         if not n_pairs:
             return np.zeros((len(rows), len(gallery)))
-        if deadline is not None and deadline < 0:
-            raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
         t0 = perf_counter()
         if self.n_jobs == 1 and checkpoint is None and deadline is None:
             # Serial, unjournaled and undeadlined: the whole matrix is one
@@ -390,6 +388,10 @@ class ParallelSTS:
                 if not todo or (budget is not None and budget.expired()):
                     break
         finally:
+            if budget is not None and budget.expired():
+                # Replicas still scoring would hold close() past the deadline.
+                for shard, replica in list(service.replica_pids()):
+                    service.kill_replica(shard, replica)
             service.close()
             arena.close()
         if todo and budget is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
@@ -135,7 +136,10 @@ class TestDeadline:
         journal = tmp_path / "pairwise.json"
         faulty = _faulty(grid, "hang", tmp_path, hang_seconds=60.0)
         wrapper = ParallelSTS(faulty, n_jobs=2)
+        started = time.monotonic()
         out = wrapper.pairwise(gallery, checkpoint=journal, deadline=1.5)
+        # The hung replica is killed, not awaited, once the deadline passes.
+        assert time.monotonic() - started < 1.5 + 1.0
         health = wrapper.last_health
         assert health.deadline_expired and not health.degradations
         shed = np.isnan(out)
