@@ -130,6 +130,21 @@ class TestNoLeakedSegments:
         assert any("timed out" in event for event in events)
         packed.assert_unlinked()
 
+    def test_deadline_leaves_no_segment(self, grid, gallery, clean_serial, tmp_path, packed):
+        # The hung replica is killed at the deadline, its blocks come back
+        # NaN, and every arena the call packed is unlinked.
+        faulty = FaultyMeasure(
+            STS(grid), "hang", ("a", "c"), tmp_path / "hang.token",
+            hang_seconds=60.0,
+        )
+        wrapper = ParallelSTS(faulty, n_jobs=2)
+        out = wrapper.pairwise(gallery, deadline=1.5)
+        assert wrapper.last_health.deadline_expired
+        scored = ~np.isnan(out)
+        assert not scored.all()
+        assert np.array_equal(out[scored], clean_serial[scored])
+        packed.assert_unlinked()
+
     def test_degradation_leaves_no_segment(self, grid, gallery, clean_serial, packed):
         wrapper = ParallelSTS(ProcessAllergicMeasure(STS(grid)), n_jobs=2)
         with pytest.warns(
