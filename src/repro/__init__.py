@@ -27,6 +27,7 @@ Public API highlights:
 
 from .errors import (
     CheckpointError,
+    ChunkTimeoutError,
     DegenerateTrajectoryError,
     MalformedRecordError,
     ReproError,
@@ -34,6 +35,7 @@ from .errors import (
     WALCorruptionError,
     WALError,
     WALWriteError,
+    WorkerCrashError,
 )
 from .core import (
     STS,
@@ -101,6 +103,8 @@ __all__ = [
     "ReproError",
     "MalformedRecordError",
     "DegenerateTrajectoryError",
+    "WorkerCrashError",
+    "ChunkTimeoutError",
     "ScoreCorruptionError",
     "CheckpointError",
     "WALError",

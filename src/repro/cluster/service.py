@@ -602,19 +602,16 @@ class ClusterService:
         requested column gets one ``1 × k`` block, and the request ships
         the query itself.
         """
-        cols = range(len(self.gallery)) if cols is None else cols
-        per_shard: dict[int, tuple[list[int], list[int]]] = {}
-        for c in cols:
+        per_shard: dict[int, list[int]] = {}
+        for c in range(len(self.gallery)) if cols is None else cols:
             shard, local = self._global_to_local[int(c)]
-            locals_, globals_ = per_shard.setdefault(shard, ([], []))
-            locals_.append(local)
-            globals_.append(int(c))
-        blocks = {shard: [((0,), locals_)] for shard, (locals_, _) in per_shard.items()}
+            per_shard.setdefault(shard, []).append(local)
+        blocks = {shard: [((0,), locals_)] for shard, locals_ in per_shard.items()}
         results, report = self.score_blocks([query], blocks, budget)
         scores = {
-            g: float(value)
+            self.shard_globals[shard][local]: float(value)
             for shard, (block,) in results.items()
-            for g, value in zip(per_shard[shard][1], block[0])
+            for local, value in zip(per_shard[shard], block[0])
         }
         return scores, report
 

@@ -184,19 +184,15 @@ def worker_main(
     # that names it, dropped when a request names another.
     row_view = None
 
-    def row_source(rows):
-        nonlocal row_view
-        if not isinstance(rows, ArenaHandle):
-            return rows
-        if row_view is None or row_view.handle.shm_name != rows.shm_name:
-            if row_view is not None:
-                row_view.close()
-            row_view = SharedTrajectoryArena.attach(rows)
-        return row_view.gallery
-
     def score(rows, blocks):
         """One kernel block per ``(row_indices, local_cols)``."""
-        rows = row_source(rows)
+        nonlocal row_view
+        if isinstance(rows, ArenaHandle):
+            if row_view is None or row_view.handle.shm_name != rows.shm_name:
+                if row_view is not None:
+                    row_view.close()
+                row_view = SharedTrajectoryArena.attach(rows)
+            rows = row_view.gallery
         out = []
         for row_indices, local_cols in blocks:
             cols = [gallery[c] for c in local_cols]

@@ -18,8 +18,8 @@ Every exception this library raises deliberately derives from
 :class:`ReproError`, so ``except ReproError`` catches exactly the
 library's own failures and nothing else.  Input errors additionally
 derive from :class:`ValueError` (and infrastructure errors from
-:class:`RuntimeError`), so existing callers that catch the builtin types
-keep working unchanged.
+:class:`RuntimeError` / :class:`TimeoutError`), so existing callers that
+catch the builtin types keep working unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ __all__ = [
     "ReproError",
     "MalformedRecordError",
     "DegenerateTrajectoryError",
+    "WorkerCrashError",
+    "ChunkTimeoutError",
     "ScoreCorruptionError",
     "CheckpointError",
     "WALError",
@@ -55,6 +57,19 @@ class DegenerateTrajectoryError(ReproError, ValueError):
     observations at one timestamp where a time span is needed.  Some
     degeneracies are repairable (duplicate timestamps collapse to their
     centroid); others are not (an empty trajectory)."""
+
+
+class WorkerCrashError(ReproError, RuntimeError):
+    """A worker process died (segfault, OOM kill, ``os._exit``) while
+    scoring a block, with every recovery option exhausted.  The parallel
+    engine restarts dead workers and scores in-process instead of raising
+    it; :class:`repro.parallel.MatrixHealth` records each crash."""
+
+
+class ChunkTimeoutError(ReproError, TimeoutError):
+    """A worker made no progress within the request timeout — it is hung
+    (deadlock, runaway input).  Like :class:`WorkerCrashError`, surfaced
+    only once recovery options are exhausted."""
 
 
 class ScoreCorruptionError(ReproError, RuntimeError):
