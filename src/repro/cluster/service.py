@@ -25,12 +25,13 @@ mode the single-process path cannot:
   over to a sibling replica with capped backoff; the dead worker is
   restarted in the background (re-attaching to the *same* arena — the
   corpus is never repacked) up to ``max_restarts`` times per replica.
-* **slow replicas** — after a hedge delay (p95 of recent shard
-  latencies, capped at 3× the median so one chronically slow replica
-  cannot inflate its own hedge trigger) the request is *hedged* to a
-  sibling; the first answer wins, and the loser's late reply is
-  discarded by request id — counted (``hedges wasted``), never
-  double-scored.
+* **slow replicas** — after a hedge delay (p95 of recent one-row
+  request latencies, capped at 3× the median so one chronically slow
+  replica cannot inflate its own hedge trigger) a one-row request (a
+  query) is *hedged* to a sibling; the first answer wins, and the
+  loser's late reply is discarded by request id — counted (``hedges
+  wasted``), never double-scored.  A block of several rows is never
+  hedged: the sibling would score the whole block again.
 * **whole-shard loss** — when no replica of a shard can answer (all
   dead, restart budget exhausted, breaker open, or the budget expired),
   the shard is **skipped**: the query still returns, with
@@ -42,6 +43,8 @@ replica from being retried on every query, and a
 :data:`REQUEST_TIMEOUT_S` backstop kills a *hung* (not dead) replica, so
 its request fails over or its shard is skipped instead of hanging even
 an unbudgeted call; the next call restarts it like any dead replica.
+The backstop counts time without progress: a replica reports each
+sub-block it starts, so a long healthy block is never taken for a hang.
 
 When every replica is healthy the gathered scores are bitwise identical
 to the single-process path: workers score the exact float64 arrays the
@@ -87,9 +90,9 @@ _COVERAGE_BUCKETS = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
 RESTART_BACKOFF_BASE = 0.05
 RESTART_BACKOFF_MAX = 1.0
 
-#: Backstop per shard attempt: a replica that neither answers nor dies
-#: within this many seconds is killed as hung, so even an unbudgeted
-#: call cannot hang on a wedged shard.
+#: Backstop per shard attempt: a replica that neither answers, reports
+#: progress nor dies within this many seconds is killed as hung, so even
+#: an unbudgeted call cannot hang on a wedged shard.
 REQUEST_TIMEOUT_S = 30.0
 
 
@@ -234,14 +237,16 @@ class _Replica:
 class _ShardCall:
     """Gather-loop state of one shard's request: its blocks and their answer."""
 
-    def __init__(self, shard: int, blocks: list):
+    def __init__(self, shard: int, blocks: list, hedge: bool):
         self.shard = shard
         self.blocks = blocks  # [(row indices | None, local cols)]
+        # Only one-row requests are hedged, and only they time the hedge.
+        self.hedge = hedge and all(r is not None and len(r) == 1 for r, _ in blocks)
         self.result: list | None = None  # one matrix per block, once answered
         self.done = False
         self.skipped_reason: str | None = None
         self.tried: set[int] = set()  # replica indices dispatched to
-        self.inflight: dict[int, tuple[int, float]] = {}  # req_id -> (replica, sent_at)
+        self.inflight: dict[int, list] = {}  # req_id -> [replica, sent_at, heard_at]
         self.hedge_fired = False
         self.hedge_replica: int | None = None
         self.first_sent_at: float | None = None
@@ -265,7 +270,7 @@ class ClusterService:
     plan:
         An explicit :class:`~repro.cluster.plan.ShardPlan`.
     hedge:
-        Enable hedged requests (on by default).
+        Hedge one-row requests (queries) to a sibling (on by default).
     hedge_initial_ms:
         Hedge delay used before enough latency samples accumulate.
     max_restarts:
@@ -574,7 +579,7 @@ class ClusterService:
         if sc.first_sent_at is None:
             sc.first_sent_at = now
         sc.tried.add(handle.replica)
-        sc.inflight[req_id] = (handle.replica, now)
+        sc.inflight[req_id] = [handle.replica, now, now]
         inflight[req_id] = sc
         if is_hedge:
             sc.hedge_fired = True
@@ -647,7 +652,7 @@ class ClusterService:
         with trace_span("cluster.query", gallery=len(self.gallery)) as root:
             self._qtrace = {"id": trace_id, "spans": {}} if trace_id else None
             try:
-                calls = {shard: _ShardCall(shard, list(b)) for shard, b in blocks.items()}
+                calls = {s: _ShardCall(s, list(b), self.hedge) for s, b in blocks.items()}
                 report = self._scatter_gather(rows, calls, budget)
             finally:
                 if self._qtrace is not None:
@@ -756,7 +761,7 @@ class ClusterService:
             if bounded:
                 timeout = min(timeout, max(1e-3, budget.remaining_ms() / 1000.0))
             for sc in pending:
-                if self.hedge and not sc.hedge_fired and sc.first_sent_at is not None:
+                if sc.hedge and not sc.hedge_fired and sc.first_sent_at is not None:
                     timeout = min(
                         timeout,
                         max(1e-3, sc.first_sent_at + hedge_delay - now),
@@ -772,15 +777,15 @@ class ClusterService:
             for sc in pending:
                 if sc.done or sc.skipped_reason is not None:
                     continue
-                # Hung-request backstop: no reply and no death for the
-                # whole window — kill the replica as hung.
+                # Hung-request backstop: no reply, progress or death for
+                # the whole window — kill the replica as hung.
                 timed_out = [
                     req_id
-                    for req_id, (_r, sent_at) in sc.inflight.items()
-                    if now - sent_at > REQUEST_TIMEOUT_S
+                    for req_id, (_r, _sent, heard_at) in sc.inflight.items()
+                    if now - heard_at > REQUEST_TIMEOUT_S
                 ]
                 for req_id in timed_out:
-                    replica, _ = sc.inflight.pop(req_id)
+                    replica = sc.inflight.pop(req_id)[0]
                     inflight.pop(req_id, None)
                     handle = self._replicas[(sc.shard, replica)]
                     if handle.alive():
@@ -795,7 +800,7 @@ class ClusterService:
                     continue
                 # Hedge: primary outstanding past the hedge delay.
                 if (
-                    self.hedge
+                    sc.hedge
                     and not sc.hedge_fired
                     and sc.inflight
                     and sc.first_sent_at is not None
@@ -899,6 +904,11 @@ class ClusterService:
                     )
                 return
             kind, req_id = msg[0], msg[1]
+            if kind == "progress":  # a long request is alive: restart its clock
+                sc = inflight.get(req_id)
+                if sc is not None and req_id in sc.inflight:
+                    sc.inflight[req_id][2] = time.monotonic()
+                continue
             # Telemetry is absorbed before the staleness check: a hedge
             # loser's scoring work is real even when its answer is not.
             self._absorb_reply_telemetry(handle, msg)
@@ -907,12 +917,13 @@ class ClusterService:
                 report.stale_responses += 1
                 self._m_stale.inc()
                 continue
-            replica, sent_at = sc.inflight.pop(req_id, (None, None))
+            replica, sent_at, _ = sc.inflight.pop(req_id, (None, None, None))
             if kind == "score":
                 sc.done = True
                 if sent_at is not None:
                     elapsed = time.monotonic() - sent_at
-                    self._latency.observe(elapsed)
+                    if sc.hedge:
+                        self._latency.observe(elapsed)
                     self._h_shard.observe(elapsed)
                 if replica is not None:
                     self.breaker.record_success((sc.shard, replica))
@@ -948,8 +959,9 @@ class ClusterService:
             try:
                 while handle.conn.poll(0):
                     msg = handle.conn.recv()
-                    if msg:
-                        self._absorb_reply_telemetry(handle, msg)
+                    if msg[0] == "progress":
+                        continue  # a sign of life, not a response
+                    self._absorb_reply_telemetry(handle, msg)
                     report.stale_responses += 1
                     self._m_stale.inc()
             except (EOFError, OSError):
@@ -964,55 +976,49 @@ class ClusterService:
             a is b for a, b in zip(gallery, self.gallery)
         )
 
-    def health_check(self, timeout_s: float = 2.0) -> dict:
-        """Ping every replica; returns per-replica liveness."""
+    def _ask(self, kind: str, timeout_s: float) -> dict:
+        """Send ``(kind, req_id)`` to every replica; ``{label: reply}``.
+
+        The reply is ``"dead"`` for a dead replica and ``None`` when a live
+        one stays silent for ``timeout_s``.  Telemetry riding on anything
+        read is absorbed.
+        """
         out: dict = {}
-        for key, handle in self._replicas.items():
-            label = f"shard{key[0]}-r{key[1]}"
+        for (shard, replica), handle in self._replicas.items():
+            label = f"shard{shard}-r{replica}"
+            out[label] = "dead"
             if not handle.alive():
-                out[label] = "dead"
                 continue
             req_id = next(self._req_ids)
             try:
-                handle.conn.send(("ping", req_id))
+                handle.conn.send((kind, req_id))
+                out[label] = None
                 deadline = time.monotonic() + timeout_s
-                status = "unresponsive"
-                while time.monotonic() < deadline:
-                    if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
-                        break
+                while handle.conn.poll(max(0.0, deadline - time.monotonic())):
                     msg = handle.conn.recv()
                     self._absorb_reply_telemetry(handle, msg)
-                    if msg[0] == "pong" and msg[1] == req_id:
-                        status = "alive"
+                    if msg[0] in ("pong", "info") and msg[1] == req_id:
+                        out[label] = msg
                         break
-                out[label] = status
             except (BrokenPipeError, EOFError, OSError):
                 self._mark_dead(handle)
                 out[label] = "dead"
         return out
 
+    def health_check(self, timeout_s: float = 2.0) -> dict:
+        """Ping every replica; returns per-replica liveness."""
+        return {
+            label: "dead" if reply == "dead" else "alive" if reply else "unresponsive"
+            for label, reply in self._ask("ping", timeout_s).items()
+        }
+
     def worker_info(self, timeout_s: float = 5.0) -> dict:
         """Introspection payloads from every live replica (for tests)."""
-        out: dict = {}
-        for key, handle in self._replicas.items():
-            label = f"shard{key[0]}-r{key[1]}"
-            if not handle.alive():
-                continue
-            req_id = next(self._req_ids)
-            try:
-                handle.conn.send(("info", req_id))
-                deadline = time.monotonic() + timeout_s
-                while time.monotonic() < deadline:
-                    if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
-                        break
-                    msg = handle.conn.recv()
-                    self._absorb_reply_telemetry(handle, msg)
-                    if msg[0] == "info" and msg[1] == req_id:
-                        out[label] = msg[2]
-                        break
-            except (BrokenPipeError, EOFError, OSError):
-                self._mark_dead(handle)
-        return out
+        return {
+            label: reply[2]
+            for label, reply in self._ask("info", timeout_s).items()
+            if isinstance(reply, tuple)
+        }
 
     def replica_pids(self) -> dict[tuple[int, int], int | None]:
         """Worker pids by (shard, replica) — the chaos harness's kill list."""

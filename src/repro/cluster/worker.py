@@ -4,14 +4,13 @@ Each worker hosts one *replica* of one *shard*: it attaches (read-only)
 to the shard's :class:`~repro.parallel.shm.SharedTrajectoryArena`,
 rebuilds zero-copy trajectory views, and answers scoring requests over a
 duplex :func:`multiprocessing.Pipe`.  A request names blocks of some
-rows against some of the shard's columns; each block is scored in one
-call of the Eq. 10 block kernel
-(:func:`~repro.similarity.base.similarity_block`), the same call the
-single-process path makes.  The packed arrays hold the exact float64
-values of the parent's trajectories and a kernel entry depends only on
-its pair, so every score is bitwise identical to the single-process
-path — which is what lets the service treat replicas as interchangeable
-and hedge requests freely.
+rows against some of the shard's columns; each block is scored by
+:func:`score_block`, the helper the in-process path of
+:mod:`repro.parallel` calls too.  The packed arrays hold the exact
+float64 values of the parent's trajectories and a kernel entry depends
+only on its pair, so every score is bitwise identical to the
+single-process path — which is what lets the service treat replicas as
+interchangeable and hedge requests freely.
 
 Protocol (parent → worker / worker → parent), all tuples:
 
@@ -20,12 +19,15 @@ Protocol (parent → worker / worker → parent), all tuples:
   req_id)`` when the wall-clock deadline passed before scoring started,
   or ``("error", req_id, message)`` when scoring raised.  ``rows`` is
   the call's row arena (an :class:`~repro.parallel.shm.ArenaHandle`,
-  attached once and kept until a request names another) or the row
+  attached for the request and closed after it) or the row
   trajectories themselves (a single query, or rows that found no shared
   memory).  Each block is ``(row_indices, local_cols)``: the rows at
   those indices of ``rows`` against the shard's columns ``local_cols``,
   or ``(None, local_cols)`` for the self block of those columns.  The
-  reply holds one ``rows × cols`` matrix per block.  ``trace_ctx``
+  reply holds one ``rows × cols`` matrix per block, scored as the
+  sub-blocks of :func:`score_block`; between two sub-blocks the worker
+  sends ``("progress", req_id)``, so the parent's hung-request backstop
+  measures time without progress, not the length of a request.  ``trace_ctx``
   is the propagated ``(trace_id, parent_span_id)`` pair; ``telemetry``
   is ``{"pid", "delta", "trace"}`` — the worker's registry delta since
   its last flush plus its span subtree for this request, which the
@@ -70,13 +72,19 @@ before any reply, the hardest mid-query death.
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import sys
 import time
 import traceback
 
-__all__ = ["block_pairs", "worker_main"]
+import numpy as np
+
+from ..core.kernel import plan_sub_blocks
+from ..similarity.base import similarity_block
+
+__all__ = ["block_pairs", "score_block", "worker_main"]
 
 
 def block_pairs(blocks) -> int:
@@ -85,6 +93,31 @@ def block_pairs(blocks) -> int:
         len(cols) * (len(cols) + 1) // 2 if rows is None else len(rows) * len(cols)
         for rows, cols in blocks
     )
+
+
+def score_block(measure, rows, row_indices, cols, progress=None) -> np.ndarray:
+    """One block: ``rows[row_indices] × cols``, or the self block of ``cols``.
+
+    ``row_indices=None`` names the self block.  The block runs as the
+    sub-blocks of :func:`~repro.core.kernel.plan_sub_blocks`, one
+    :func:`~repro.similarity.base.similarity_block` call each, and
+    ``progress()`` is called before each one.  Entries do not depend on
+    the block they are computed in, so the split changes no score.
+    """
+    picked = cols if row_indices is None else [rows[i] for i in row_indices]
+    out = np.empty((len(picked), len(cols)))
+    for r, c in plan_sub_blocks(
+        [len(t) for t in picked], None if row_indices is None else [len(t) for t in cols]
+    ):
+        if progress is not None:
+            progress()
+        if c is None:
+            out[r, r] = similarity_block(measure, picked[r])
+            continue
+        out[r, c] = scores = similarity_block(measure, picked[r], cols[c])
+        if row_indices is None:
+            out[c, r] = scores.T
+    return out
 
 
 def _child_process_count() -> int:
@@ -128,7 +161,6 @@ def worker_main(
     from ..obs import DeltaSource, enabled as obs_enabled, get_registry, get_tracer
     from ..obs import JsonlLogger, merge_snapshots, span_payload
     from ..parallel.pool import mark_cluster_worker, resolve_n_jobs
-    from ..similarity.base import similarity_block
 
     mark_cluster_worker()
     log = JsonlLogger(stream=sys.stderr, shard=shard, replica=replica)
@@ -180,27 +212,29 @@ def worker_main(
     else:
         gallery = list(fallback_gallery or [])
 
-    # The row arena of the current call: attached on the first request
-    # that names it, dropped when a request names another.
-    row_view = None
+    def score(req_id, rows, blocks):
+        """One :func:`score_block` per ``(row_indices, local_cols)``."""
+        ticks = itertools.count()
 
-    def score(rows, blocks):
-        """One kernel block per ``(row_indices, local_cols)``."""
-        nonlocal row_view
-        if isinstance(rows, ArenaHandle):
-            if row_view is None or row_view.handle.shm_name != rows.shm_name:
-                if row_view is not None:
-                    row_view.close()
-                row_view = SharedTrajectoryArena.attach(rows)
-            rows = row_view.gallery
-        out = []
-        for row_indices, local_cols in blocks:
-            cols = [gallery[c] for c in local_cols]
-            if row_indices is None:
-                out.append(similarity_block(measure, cols))
-            else:
-                out.append(similarity_block(measure, [rows[i] for i in row_indices], cols))
-        return out
+        def progress():
+            if next(ticks):  # the first sub-block has nothing to report yet
+                conn.send(("progress", req_id))
+
+        row_view = SharedTrajectoryArena.attach(rows) if isinstance(rows, ArenaHandle) else None
+        try:
+            return [
+                score_block(
+                    measure,
+                    rows if row_view is None else row_view.gallery,
+                    row_indices,
+                    [gallery[c] for c in local_cols],
+                    progress,
+                )
+                for row_indices, local_cols in blocks
+            ]
+        finally:
+            if row_view is not None:
+                row_view.close()
 
     if config.get("log_path"):
         # Only a log directory wants the start-up record: on a bare
@@ -265,7 +299,7 @@ def worker_main(
                         replica=replica,
                         pairs=block_pairs(blocks),
                     ) as span:
-                        scores = score(rows, blocks)
+                        scores = score(req_id, rows, blocks)
                     telemetry = {
                         "pid": os.getpid(),
                         "delta": take_delta(),
@@ -276,7 +310,7 @@ def worker_main(
                         ),
                     }
                 else:
-                    scores = score(rows, blocks)
+                    scores = score(req_id, rows, blocks)
                     telemetry = None
                 conn.send(("score", req_id, scores, telemetry))
             except Exception as exc:
@@ -284,9 +318,8 @@ def worker_main(
                 log.error("score failed", error=f"{type(exc).__name__}: {exc}")
                 conn.send(("error", req_id, f"{type(exc).__name__}: {exc}"))
     finally:
-        for attached in (row_view, view):
-            if attached is not None:
-                attached.close()
+        if view is not None:
+            view.close()
         try:
             conn.close()
         except OSError:

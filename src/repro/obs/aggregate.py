@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 import re
 
-from .registry import MetricsRegistry, _label_key, _label_str
-
 __all__ = [
     "DeltaSource",
     "hist_stats_quantile",
@@ -59,15 +57,6 @@ def parse_label_str(label_str: str) -> dict[str, str]:
         )
         out[match.group(1)] = value
     return out
-
-
-def _relabel(label_str: str, extra: dict[str, str] | None) -> str:
-    """Canonical label string with ``extra`` labels merged in (extra wins)."""
-    if not extra:
-        return label_str
-    labels = parse_label_str(label_str)
-    labels.update(extra)
-    return _label_str(_label_key(labels))
 
 
 def snapshot_is_empty(snapshot: dict | None) -> bool:

@@ -250,27 +250,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _open(self, name: str, attrs: dict) -> Span:
-        span = Span(name, attrs, time.perf_counter(), threading.get_ident())
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-        return span
-
-    def _close(self, span: Span, cpu_s: float) -> None:
-        span.wall_s = time.perf_counter() - span.start_s
-        span.cpu_s = cpu_s
-        stack = self._stack()
-        # Tolerate out-of-order exits (generator teardown) by unwinding.
-        while stack and stack[-1] is not span:
-            stack.pop()
-        if stack:
-            stack.pop()
-        if not stack:
-            with self._lock:
-                self._roots.append(span)
-
     # ------------------------------------------------------------------
     def roots(self) -> list[Span]:
         """Completed root spans, oldest first."""

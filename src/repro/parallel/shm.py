@@ -9,7 +9,7 @@ from shared memory, packed **once**, and requests ship only indices.
 :class:`SharedTrajectoryArena` packs a gallery's ``(t, x, y)`` arrays
 (plus per-trajectory offsets) into one ``multiprocessing.shared_memory``
 block.  A shard worker attaches its shard's arena when it starts, and a
-matrix call's row arena on its first request, and reconstructs
+matrix call's row arena for each request of the call, and reconstructs
 :class:`~repro.core.trajectory.Trajectory` *views* over the block with
 :meth:`Trajectory.from_views` — ``np.ndarray(buffer=shm.buf)`` slices,
 no per-point objects, no copies.  Because the packed arrays are the

@@ -48,6 +48,7 @@ import numpy as np
 from ..checkpoint import PairwiseCheckpoint
 from ..cluster.plan import ShardPlan, gallery_keys
 from ..cluster.service import ClusterReport, ClusterService
+from ..cluster.worker import score_block
 from ..core.kernel import plan_sub_blocks
 from ..core.trajectory import Trajectory
 from ..errors import ScoreCorruptionError
@@ -150,12 +151,10 @@ class _Call:
         return (cols if row_indices is None else list(row_indices)), cols
 
     def score_here(self, k: int) -> np.ndarray:
-        """Block ``k`` scored in the calling process."""
-        rows, cols = self.cells(k)
-        cols = [self.gallery[j] for j in cols]
-        if self.blocks[k][1] is None:
-            return similarity_block(self.measure, cols)
-        return similarity_block(self.measure, [self.rows[i] for i in rows], cols)
+        """Block ``k`` scored in the calling process, as a replica scores it."""
+        shard, row_indices, local = self.blocks[k]
+        cols = [self.gallery[self.members[shard][c]] for c in local]
+        return score_block(self.measure, self.rows, row_indices, cols)
 
     def _fill(self, k: int, values) -> tuple[list[int], list[int]]:
         """Write ``values`` over block ``k``'s cells (and their mirror)."""

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import service as cluster_service
+from repro.core import kernel
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS
 
@@ -45,6 +46,20 @@ class AlwaysFails:
     def similarity(self, tra1, tra2):
         if {tra1.object_id, tra2.object_id} == {"a", "d"}:
             raise RuntimeError("permanent fault")
+        return self.base.similarity(tra1, tra2)
+
+
+class SlowPairs:
+    """A healthy measure that takes ``delay_s`` per pair (no block kernel)."""
+
+    name = "slow-pairs"
+
+    def __init__(self, base, delay_s: float):
+        self.base = base
+        self.delay_s = delay_s
+
+    def similarity(self, tra1, tra2):
+        time.sleep(self.delay_s)
         return self.base.similarity(tra1, tra2)
 
 
@@ -85,6 +100,21 @@ class TestHang:
         assert health.retries >= 1
         assert any("timed out" in event and "killed" in event for event in _events(health))
         assert sum(report.restarts for report in health.reports) >= 1
+
+    def test_long_healthy_block_is_not_taken_for_a_hang(
+        self, grid, gallery, clean_serial, monkeypatch
+    ):
+        # One pair per sub-block, 0.1 s each: a shard's request runs past
+        # the timeout, while its replica reports progress every 0.1 s.
+        monkeypatch.setattr(cluster_service, "REQUEST_TIMEOUT_S", 0.4)
+        monkeypatch.setattr(kernel, "SUB_BLOCK_PRODUCTS", 1)
+        wrapper = ParallelSTS(SlowPairs(STS(grid), 0.1), n_jobs=2)
+        out = wrapper.pairwise(gallery)
+        assert np.array_equal(out, clean_serial)
+        health = wrapper.last_health
+        assert health.ok, _events(health)
+        (report,) = health.reports
+        assert report.elapsed_ms > 1000.0 * cluster_service.REQUEST_TIMEOUT_S
 
 
 class TestRaisedError:

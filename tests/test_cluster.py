@@ -282,6 +282,39 @@ class TestBlockRequests:
             ),
         )
 
+    def test_healthy_pairwise_on_a_hedged_service_fires_no_hedges(self):
+        # A 1 ms hedge delay would hedge any block; only one-row requests
+        # are hedged, and block latencies stay out of the hedge trigger.
+        grid = Grid(0, 0, 40, 20, cell_size=2.0)
+        gallery = make_gallery(6, seed=9)
+        registry = MetricsRegistry()
+        measure = STS(grid)
+        with ClusterService(
+            measure, gallery, n_shards=2, n_replicas=2,
+            hedge_initial_ms=1.0, registry=registry,
+        ) as svc:
+            matrix, report = svc.pairwise()
+            assert svc._latency.hedge_delay_s() == 0.001
+            assert not svc._latency._samples
+        assert report.ok and report.hedges_fired == 0
+        assert not any(registry.value("repro_cluster_hedges_total").values())
+        np.testing.assert_array_equal(matrix, STS(grid).pairwise(gallery))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs procfs")
+    def test_replicas_release_the_row_arena_after_each_request(self):
+        def segments(pid):
+            with open(f"/proc/{pid}/maps") as maps:
+                return {tok for line in maps for tok in line.split() if "psm_" in tok}
+
+        grid = Grid(0, 0, 40, 20, cell_size=2.0)
+        gallery = make_gallery(5, seed=9)
+        with ClusterService(STS(grid), gallery, n_shards=1, n_replicas=1) as svc:
+            pid = svc.replica_pids()[(0, 0)]
+            before = segments(pid)
+            matrix, report = svc.pairwise(make_gallery(3, seed=31))
+            assert report.ok
+            assert segments(pid) == before
+
     def test_hung_replica_is_killed_and_restarted_by_the_next_call(self, monkeypatch):
         from repro.cluster import service as cluster_service
 
